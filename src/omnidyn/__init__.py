@@ -4,7 +4,6 @@ for a 12-rotor, six-tilt-arm omnidirectional multirotor."""
 from .allocation import (
     ActuatorCommand,
     Allocator,
-    allocate,
     build_A,
     build_A_alpha,
     extract_rotor_speeds,
@@ -46,7 +45,6 @@ from .trajectories import (
     quintic_blend,
 )
 from .vehicle import (
-    ActuatorState,
     RigidBodyState,
     VehicleParams,
     Wrench,
@@ -54,8 +52,6 @@ from .vehicle import (
     integrate_step,
     rigid_body_derivative,
     rotor_columns,
-    rotor_thrust,
-    tilt_rate_limit,
 )
 
 __version__ = "0.1.0"

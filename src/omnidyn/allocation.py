@@ -38,13 +38,8 @@ DEGENERATE_REL_TOL = 1e-9
 def build_A(params: VehicleParams):
     """Fixed 6x24 allocation matrix."""
     sin_cols, cos_cols = rotor_columns(params)
-    A = np.zeros((6, 24))
-    for i in range(6):
-        A[:, 4 * i + 0] = sin_cols[:, i]
-        A[:, 4 * i + 1] = cos_cols[:, i]
-        A[:, 4 * i + 2] = sin_cols[:, i + 6]
-        A[:, 4 * i + 3] = cos_cols[:, i + 6]
-    return A
+    blocks = (sin_cols[:, :6], cos_cols[:, :6], sin_cols[:, 6:], cos_cols[:, 6:])
+    return np.stack(blocks, axis=2).reshape(6, 24)
 
 
 def build_A_alpha(params: VehicleParams, alpha):
@@ -57,13 +52,11 @@ def build_A_alpha(params: VehicleParams, alpha):
     return sin_cols * sa + cos_cols * ca
 
 
-def pseudo_inverse_allocate(w_des, A, A_pinv=None):
+def pseudo_inverse_allocate(w_des, A):
     """Minimum-norm u with A @ u = w_des, via the Moore-Penrose inverse."""
-    if A_pinv is None:
-        if np.linalg.matrix_rank(A) < 6:
-            raise ValueError("allocation matrix is rank deficient")
-        A_pinv = np.linalg.pinv(A)
-    return A_pinv @ np.asarray(w_des, dtype=float)
+    if np.linalg.matrix_rank(A) < 6:
+        raise ValueError("allocation matrix is rank deficient")
+    return np.linalg.pinv(A) @ np.asarray(w_des, dtype=float)
 
 
 def extract_tilt_angles(u, alpha_prev):
@@ -158,8 +151,3 @@ class Allocator:
         return ActuatorCommand(alpha_cmd=alpha_cmd, Omega_cmd=Omega_cmd,
                                alpha_des=alpha_des, k_t=k_t, k_alpha=k_alpha)
 
-
-def allocate(w_des, alpha_prev, dt, params: VehicleParams,
-             sing_params: SingularityParams | None = None) -> ActuatorCommand:
-    """One-shot convenience wrapper around Allocator.allocate."""
-    return Allocator(params, sing_params).allocate(w_des, alpha_prev, dt)

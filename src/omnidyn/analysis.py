@@ -4,15 +4,10 @@ Force/torque envelopes, condition-number maps of the instantaneous
 allocation matrix (with and without tilt bias), and hover efficiency
 metrics, all evaluated over deterministic direction sets: a fixed list
 of canonical directions first, then Fibonacci-sphere samples.
-
-Set OMNIDYN_THREADS > 1 to evaluate sweep directions in a thread pool;
-output ordering is independent of the thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,22 +83,6 @@ def efficiency_directions(n):
     return _with_canonical(canonical, n)
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("OMNIDYN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _sweep(fn, items):
-    """Map fn over items, optionally in a thread pool, preserving order."""
-    n_threads = _thread_count()
-    if n_threads == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def static_allocation(w_des, allocator: Allocator, biased=False,
                       sing_params: SingularityParams | None = None):
     """Converged actuator state for a constant wrench: (alpha, Omega, u).
@@ -142,7 +121,7 @@ def _envelope(params, n_dirs, torque):
         # direction, so the largest feasible scale hits Omega_max exactly.
         return EnvelopeSample(direction=d, radius=params.Omega_max / peak)
 
-    return _sweep(radius_of, list(dirs))
+    return [radius_of(d) for d in dirs]
 
 
 def force_envelope(params: VehicleParams, n_dirs=2000):
@@ -174,7 +153,7 @@ def condition_map(params: VehicleParams, n_dirs=2000, biased=False,
             return ConditionSample(direction=d, log10_cond=np.inf)
         return ConditionSample(direction=d, log10_cond=float(np.log10(svals[0] / svals[-1])))
 
-    return _sweep(cond_of, list(dirs))
+    return [cond_of(d) for d in dirs]
 
 
 def wasted_force_index(rotor_thrusts, F_b):
@@ -230,4 +209,4 @@ def hover_sweep(params: VehicleParams, n_orientations=2000):
         return EfficiencyRecord(direction=d, eta_P=eta_P, eta_f=eta_f,
                                 total_power=total_power)
 
-    return _sweep(record_of, list(dirs))
+    return [record_of(d) for d in dirs]

@@ -18,9 +18,13 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .analysis import condition_map, force_envelope, hover_sweep, torque_envelope
 from .config import ConfigError, load_run_config
 from .simulation import SimulationDiverged, simulate, tracking_summary
+# Bound under this name so that perfbench/tracer.py can time CSV export.
+from .simulation import write_csv as _write_csv
 from .trajectories import (
     make_cartwheel,
     make_flip,
@@ -40,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _direction_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="omnidyn", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -49,7 +60,7 @@ def _build_parser():
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="DIR", default=".", help="output directory")
         if n_dirs:
-            p.add_argument("--n-dirs", type=int, metavar="N",
+            p.add_argument("--n-dirs", type=_direction_count, metavar="N",
                            help="number of sweep directions (default from config)")
 
     p_sim = sub.add_parser("simulate", help="run one closed-loop experiment")
@@ -69,13 +80,6 @@ def _build_parser():
     common(p_eff, n_dirs=True)
 
     return parser
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def _write_json(path, payload):
@@ -119,7 +123,7 @@ def _cmd_simulate(args, cfg, out_dir):
 
 
 def _cmd_envelope(args, cfg, out_dir):
-    n = args.n_dirs or cfg.n_dirs
+    n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
     for fname, sweep in (("force_envelope.csv", force_envelope),
                          ("torque_envelope.csv", torque_envelope)):
         samples = sweep(cfg.vehicle, n)
@@ -129,7 +133,7 @@ def _cmd_envelope(args, cfg, out_dir):
 
 
 def _cmd_condmap(args, cfg, out_dir):
-    n = args.n_dirs or cfg.n_dirs
+    n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
     samples = condition_map(cfg.vehicle, n, biased=args.biased, sing_params=cfg.singularity)
     fname = "condmap_biased.csv" if args.biased else "condmap_unbiased.csv"
     _write_csv(os.path.join(out_dir, fname), ["dx", "dy", "dz", "log10_cond"],
@@ -138,7 +142,7 @@ def _cmd_condmap(args, cfg, out_dir):
 
 
 def _cmd_efficiency(args, cfg, out_dir):
-    n = args.n_dirs or cfg.n_dirs
+    n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
     records = hover_sweep(cfg.vehicle, n)
     _write_csv(os.path.join(out_dir, "efficiency.csv"),
                ["dx", "dy", "dz", "eta_P", "eta_f", "total_power"],
@@ -170,7 +174,7 @@ def main(argv=None) -> int:
     }
     try:
         status = handlers[args.command](args, cfg, out_dir)
-    except (FloatingPointError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"omnidyn: numerical failure: {exc}", file=sys.stderr)
         return 3
     if status == 0:

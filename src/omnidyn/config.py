@@ -47,6 +47,10 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     n_dirs: int = 2000
 
+    def __post_init__(self):
+        if self.n_dirs < 1:
+            raise ValueError("n_dirs must be at least 1")
+
     def effective_dict(self):
         """JSON-serializable echo of every effective parameter."""
         v = self.vehicle
@@ -123,16 +127,17 @@ def _build(raw) -> RunConfig:
     sim = dict(raw.get("sim", {}))
     _check_keys("sim", sim, {"dt_physics", "dt_control"})
 
-    try:
-        return RunConfig(
-            vehicle=VehicleParams(**vehicle_kwargs),
-            gains=Gains(**{k: float(val) for k, val in g.items()}),
-            singularity=SingularityParams(**sing_kwargs),
-            sim=SimConfig(**{k: float(val) for k, val in sim.items()}),
-            n_dirs=int(raw.get("n_dirs", 2000)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid parameter value: {exc}") from exc
+    n_dirs = raw.get("n_dirs", 2000)
+    if isinstance(n_dirs, bool) or not isinstance(n_dirs, int):
+        raise ConfigError(f"n_dirs must be an integer, got {n_dirs!r}")
+
+    return RunConfig(
+        vehicle=VehicleParams(**vehicle_kwargs),
+        gains=Gains(**{k: float(val) for k, val in g.items()}),
+        singularity=SingularityParams(**sing_kwargs),
+        sim=SimConfig(**{k: float(val) for k, val in sim.items()}),
+        n_dirs=n_dirs,
+    )
 
 
 def load_run_config(path=None) -> RunConfig:
@@ -148,4 +153,8 @@ def load_run_config(path=None) -> RunConfig:
         raise ConfigError(
             f"config file is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
-    return _build(raw)
+    # Conversions and dataclass checks anywhere in _build raise these.
+    try:
+        return _build(raw)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid parameter value: {exc}") from exc

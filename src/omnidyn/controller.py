@@ -33,6 +33,8 @@ class Gains:
     k_omega: float = 69.3
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.k_p, self.k_v, self.k_R, self.k_omega])):
+            raise ValueError("gains must be finite")
         if min(self.k_p, self.k_v, self.k_R, self.k_omega) <= 0.0:
             raise ValueError("all gains must be positive")
 

@@ -30,6 +30,10 @@ class SimConfig:
     initial_state: RigidBodyState | None = None
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.dt_physics, self.dt_control])):
+            raise ValueError("time steps must be finite")
+        if self.duration is not None and not (np.isfinite(self.duration) and self.duration >= 0.0):
+            raise ValueError("duration must be finite and nonnegative")
         if self.dt_physics <= 0.0 or self.dt_control <= 0.0:
             raise ValueError("time steps must be positive")
         ratio = self.dt_control / self.dt_physics
@@ -47,6 +51,14 @@ LOG_FIELDS = (
     ("alpha_cmd", 6), ("Omega_cmd", 12),
     ("eta_f", 1), ("k_t", 1), ("k_alpha", 6),
 )
+
+
+def write_csv(path, header, rows):
+    """Header line, then one line per row of shortest round-trip floats."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def log_column_names():
@@ -77,11 +89,7 @@ class SimLog:
         raise KeyError(name)
 
     def to_csv(self, path):
-        names = log_column_names()
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in self.data:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, log_column_names(), self.data)
 
 
 class SimulationDiverged(RuntimeError):
@@ -141,8 +149,7 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
         plant_wrench = Wrench(F=realized[:3], tau=realized[3:])
         try:
             for _ in range(steps_per_tick):
-                state = integrate_step(state, lambda _t: plant_wrench,
-                                       config.dt_physics, params)
+                state = integrate_step(state, plant_wrench, config.dt_physics, params)
         except RuntimeError as exc:
             partial = SimLog(data=rows[:k + 1].copy(), dt_control=config.dt_control)
             raise SimulationDiverged(str(exc), partial) from exc

@@ -49,6 +49,8 @@ class SingularityParams:
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
+        if not np.all(np.isfinite([self.phi_0, self.phi_d, self.phi_t, self.c_t, self.omega_u])):
+            raise ValueError("singularity parameters must be finite")
         if not (0.0 < self.phi_0 < self.phi_d):
             raise ValueError("need 0 < phi_0 < phi_d")
         if self.phi_t <= 0.0 or self.c_t <= 0.0:

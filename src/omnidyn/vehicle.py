@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import hat, orthonormalize, wrap_angle
+from .mathcore import hat, orthonormalize
 
 
 @dataclass
@@ -49,6 +49,11 @@ class VehicleParams:
         self.x_com = np.asarray(self.x_com, dtype=float)
         self.gamma = np.asarray(self.gamma, dtype=float)
         self.s = np.asarray(self.s, dtype=float)
+        scalars = [self.m, self.l_x, self.c_f, self.c_d, self.Omega_max, self.alpha_dot_max, self.g_mag]
+        if not all(np.all(np.isfinite(a)) for a in (scalars, self.J_b, self.x_com, self.gamma)):
+            raise ValueError("vehicle parameters must be finite")
+        if self.x_com.shape != (3,):
+            raise ValueError("x_com must have 3 entries")
         if self.m <= 0.0:
             raise ValueError("mass must be positive")
         if self.J_b.shape != (3, 3):
@@ -61,7 +66,7 @@ class VehicleParams:
             raise ValueError("s must be 12 entries of +/-1")
         if np.any(self.s[:6] != -self.s[6:]):
             raise ValueError("upper and lower rotors of an arm must counter-rotate")
-        for name in ("c_f", "c_d", "l_x", "Omega_max", "alpha_dot_max"):
+        for name in ("c_f", "c_d", "l_x", "Omega_max", "alpha_dot_max", "g_mag"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -83,20 +88,6 @@ class RigidBodyState:
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))
                 and np.all(np.isfinite(self.R)) and np.all(np.isfinite(self.omega_b))):
             raise ValueError("state contains non-finite values")
-
-
-@dataclass
-class ActuatorState:
-    """Six tilt angles (rad, unwrapped) and twelve squared rotor speeds."""
-
-    alpha: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    Omega: np.ndarray = field(default_factory=lambda: np.zeros(12))
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        self.Omega = np.asarray(self.Omega, dtype=float)
-        if np.any(self.Omega < 0.0):
-            raise ValueError("rotor speeds must be nonnegative")
 
 
 @dataclass
@@ -142,26 +133,12 @@ def rotor_columns(params: VehicleParams):
     return sin_cols, cos_cols
 
 
-def rotor_thrust(Omega, c_f):
-    """Thrust of one rotor, N. Linear in the squared speed Omega."""
-    if np.any(np.asarray(Omega) < 0.0):
-        raise ValueError("rotor speed must be nonnegative")
-    return c_f * Omega
+def rigid_body_derivative(x, v, R, omega_b, wrench: Wrench, params: VehicleParams):
+    """Newton-Euler state derivative.
 
-
-def tilt_rate_limit(alpha_prev, alpha_cmd, dt, alpha_dot_max):
-    """Move from alpha_prev toward alpha_cmd by at most alpha_dot_max*dt.
-
-    The step is taken along the shortest wrapped direction, but the result
-    accumulates without wrapping so that multi-turn tilt angles (cable
-    wind-up) remain observable.
+    The wrench argument is thrust-only and body-framed; gravity acts in
+    the inertial frame. Returns (x_dot, v_dot, R_dot, omega_dot).
     """
-    delta = wrap_angle(alpha_cmd - alpha_prev)
-    step = np.clip(delta, -alpha_dot_max * dt, alpha_dot_max * dt)
-    return alpha_prev + step
-
-
-def _derivative(x, v, R, omega_b, wrench: Wrench, params: VehicleParams):
     x_dot = v
     v_dot = (R @ wrench.F) / params.m - np.array([0.0, 0.0, params.g_mag])
     R_dot = R @ hat(omega_b)
@@ -170,34 +147,25 @@ def _derivative(x, v, R, omega_b, wrench: Wrench, params: VehicleParams):
     return x_dot, v_dot, R_dot, omega_dot
 
 
-def rigid_body_derivative(state: RigidBodyState, thrust_wrench_b: Wrench, params: VehicleParams):
-    """Newton-Euler state derivative.
+def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehicleParams) -> RigidBodyState:
+    """Advance the rigid body by dt with classical RK4 under a held body
+    thrust wrench.
 
-    The wrench argument is thrust-only and body-framed; gravity acts in
-    the inertial frame. Returns (x_dot, v_dot, R_dot, omega_dot).
-    """
-    return _derivative(state.x, state.v, state.R, state.omega_b, thrust_wrench_b, params)
-
-
-def integrate_step(state: RigidBodyState, wrench_fn, dt, params: VehicleParams, t0=0.0) -> RigidBodyState:
-    """Advance the rigid body by dt with classical RK4.
-
-    wrench_fn(t) supplies the body thrust wrench at stage times. The
-    rotation matrix is re-orthonormalized after the step. Raises
+    The rotation matrix is re-orthonormalized after the step. Raises
     RuntimeError if the step produces non-finite values.
     """
 
-    def deriv(x, v, R, om, t):
-        return _derivative(x, v, R, om, wrench_fn(t), params)
+    def deriv(x, v, R, om):
+        return rigid_body_derivative(x, v, R, om, wrench, params)
 
     x0, v0, R0, om0 = state.x, state.v, state.R, state.omega_b
-    k1 = deriv(x0, v0, R0, om0, t0)
+    k1 = deriv(x0, v0, R0, om0)
     k2 = deriv(x0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
-               R0 + 0.5 * dt * k1[2], om0 + 0.5 * dt * k1[3], t0 + 0.5 * dt)
+               R0 + 0.5 * dt * k1[2], om0 + 0.5 * dt * k1[3])
     k3 = deriv(x0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
-               R0 + 0.5 * dt * k2[2], om0 + 0.5 * dt * k2[3], t0 + 0.5 * dt)
+               R0 + 0.5 * dt * k2[2], om0 + 0.5 * dt * k2[3])
     k4 = deriv(x0 + dt * k3[0], v0 + dt * k3[1],
-               R0 + dt * k3[2], om0 + dt * k3[3], t0 + dt)
+               R0 + dt * k3[2], om0 + dt * k3[3])
 
     w = dt / 6.0
     x = x0 + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])

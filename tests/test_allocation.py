@@ -5,9 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from omnidyn.allocation import (
-    ActuatorCommand,
     Allocator,
-    allocate,
     build_A,
     build_A_alpha,
     extract_rotor_speeds,
@@ -154,18 +152,6 @@ def test_allocator_hover_is_exact_and_uniform():
                     rtol=1e-9, atol=1e-9)
 
 
-def test_allocate_wrapper_matches_allocator():
-    p = default_params()
-    sp = SingularityParams()
-    w = np.array([3.0, -2.0, 30.0, 0.1, 0.2, -0.1])
-    prev = np.full(6, 0.1)
-    a = allocate(w, prev, 0.005, p, sp)
-    b = Allocator(p, sp).allocate(w, prev, 0.005)
-    assert_allclose(a.alpha_cmd, b.alpha_cmd)
-    assert_allclose(a.Omega_cmd, b.Omega_cmd)
-    assert isinstance(a, ActuatorCommand)
-
-
 def test_allocate_rate_limit_bounds_tilt_steps():
     p = default_params()
     alc = Allocator(p)
@@ -178,6 +164,42 @@ def test_allocate_rate_limit_bounds_tilt_steps():
         assert np.all(np.abs(cmd.alpha_cmd - prev) <= p.alpha_dot_max * dt + 1e-12)
         assert np.all(cmd.Omega_cmd >= 0.0)
         assert np.all(cmd.Omega_cmd <= p.Omega_max)
+
+
+def uniform_tilt_wrench(params, theta):
+    """Wrench of all six arms tilted to theta at equal rotor speeds.
+
+    Its minimum-norm allocation gives every arm the same tilt angle, which
+    moves monotonically with theta through all four quadrants.
+    """
+    return build_A_alpha(params, np.full(6, theta)) @ np.full(12, 2.0e5)
+
+
+def test_allocate_steps_the_shortest_way_across_pi():
+    p = default_params()
+    alc = Allocator(p)
+    w = uniform_tilt_wrench(p, -np.pi + 0.01)
+    prev = np.full(6, np.pi - 0.01)
+    # within the limit: the arms step forward through +pi to the command,
+    # keeping the unwrapped angle
+    cmd = alc.allocate(w, prev, 1.0)
+    assert np.all((cmd.alpha_des > -np.pi) & (cmd.alpha_des < -np.pi + 0.02))
+    assert_allclose(cmd.alpha_cmd, cmd.alpha_des + 2.0 * np.pi, atol=1e-12)
+    assert np.all(cmd.alpha_cmd > np.pi)
+    # beyond the limit: a step of alpha_dot_max * dt, still forward
+    dt = 0.001
+    cmd = alc.allocate(w, prev, dt)
+    assert_allclose(cmd.alpha_cmd, prev + p.alpha_dot_max * dt, atol=1e-12)
+
+
+def test_allocate_tilt_winds_up_without_wrapping():
+    # chasing a tilt command that circles keeps increasing the unwrapped angle
+    p = default_params()
+    alc = Allocator(p)
+    alpha = np.zeros(6)
+    for k in range(300):
+        alpha = alc.allocate(uniform_tilt_wrench(p, 0.05 * (k + 1)), alpha, 0.01).alpha_cmd
+    assert np.all(alpha > 2.0 * np.pi)  # several turns accumulated
 
 
 def test_pipeline_round_trip_pure_force_with_margins():

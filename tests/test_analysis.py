@@ -214,15 +214,6 @@ def test_hover_sweep_ranges():
     assert np.all([r.total_power >= hover_power(p) * (1.0 - 1e-12) for r in records])
 
 
-def test_sweeps_are_thread_count_invariant(monkeypatch):
-    p = default_params()
-    monkeypatch.setenv("OMNIDYN_THREADS", "1")
-    serial = [s.radius for s in force_envelope(p, 64)]
-    monkeypatch.setenv("OMNIDYN_THREADS", "4")
-    threaded = [s.radius for s in force_envelope(p, 64)]
-    assert serial == threaded
-
-
 def test_envelope_runtime_budget():
     import time
 

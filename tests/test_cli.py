@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from omnidyn import cli
+
 CLI = [sys.executable, "-m", "omnidyn.cli"]
 
 
@@ -54,6 +56,46 @@ def test_bad_config_is_config_error(tmp_path):
     out = run_cli("envelope", "--config", cfg, "--out", tmp_path, "--n-dirs", 4)
     assert out.returncode == 2
     assert "line" in out.stderr
+
+
+@pytest.mark.parametrize("text", [
+    '{"vehicle": {"m": NaN}}',
+    '{"vehicle": {"c_f": Infinity}}',
+    '{"vehicle": {"x_com": [0, 0.1]}}',
+    '{"vehicle": {"g": -9.81}}',
+    '{"vehicle": {"m": "heavy"}}',
+    '{"gains": {"k_p": NaN}}',
+    '{"singularity": {"phi_t_deg": NaN}}',
+    '{"sim": {"dt_control": Infinity}}',
+    '{"n_dirs": -5}',
+    '{"n_dirs": 0}',
+    '{"n_dirs": Infinity}',
+    '{"n_dirs": 2.7}',
+])
+def test_non_finite_or_misshaped_config_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["envelope", "--config", str(cfg), "--out", str(out), "--n-dirs", "4"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+@pytest.mark.parametrize("n_dirs", ["0", "-5"])
+def test_n_dirs_below_one_is_usage_error(tmp_path, capsys, n_dirs):
+    assert cli.main(["envelope", "--n-dirs", n_dirs, "--out", str(tmp_path)]) == 1
+    assert "--n-dirs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_linear_algebra_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "condition_map", singular)
+    assert cli.main(["condmap", "--n-dirs", "4", "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "effective_config.json").exists()
 
 
 def test_missing_config_file_is_config_error(tmp_path):

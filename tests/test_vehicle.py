@@ -13,8 +13,6 @@ from omnidyn.vehicle import (
     integrate_step,
     rigid_body_derivative,
     rotor_columns,
-    rotor_thrust,
-    tilt_rate_limit,
 )
 
 
@@ -69,35 +67,6 @@ def test_rotor_columns_against_vector_oracle():
         assert_allclose(sin_cols[3:, j], np.cross(r, f_sin) - p.s[j] * p.c_d * f_sin, atol=1e-18)
 
 
-def test_rotor_thrust_linear_in_omega():
-    assert rotor_thrust(1.0e6, 1.0e-5) == 10.0
-    assert_allclose(rotor_thrust(np.array([0.0, 5.0e5]), 1.0e-5), [0.0, 5.0])
-    with pytest.raises(ValueError):
-        rotor_thrust(-1.0, 1.0e-5)
-
-
-def test_tilt_rate_limit_clips_and_accumulates():
-    # within the limit: reach the command exactly
-    out = tilt_rate_limit(np.zeros(1), np.array([0.02]), 0.005, 6.0)
-    assert_allclose(out, [0.02])
-    # beyond the limit: move by alpha_dot_max * dt
-    out = tilt_rate_limit(np.zeros(1), np.array([1.0]), 0.005, 6.0)
-    assert_allclose(out, [0.03])
-    # shortest wrapped direction: from pi-0.01 toward -pi+0.01 goes forward
-    out = tilt_rate_limit(np.array([np.pi - 0.01]), np.array([-np.pi + 0.01]), 1.0, 6.0)
-    assert_allclose(out, [np.pi + 0.01])
-
-
-def test_tilt_rate_limit_winds_up_without_wrapping():
-    # chasing a command that circles keeps increasing the unwrapped angle
-    alpha = np.array([0.0])
-    dt = 0.01
-    for k in range(2000):
-        target = np.array([0.05 * (k + 1)])
-        alpha = tilt_rate_limit(alpha, target, dt, 6.0)
-    assert alpha[0] > 2.0 * np.pi  # several turns accumulated
-
-
 def test_state_rejects_non_finite():
     with pytest.raises(ValueError):
         RigidBodyState(x=np.array([np.nan, 0.0, 0.0]), v=np.zeros(3),
@@ -113,20 +82,19 @@ def test_derivative_gravity_and_frame_mapping():
     p = default_params()
     # body frame pitched 90 deg: body z thrust pushes along inertial -x... check mapping
     R = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 2.0)
-    state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=R, omega_b=np.zeros(3))
     wrench = Wrench(F=np.array([0.0, 0.0, p.m * p.g_mag]), tau=np.zeros(3))
-    _, v_dot, _, _ = rigid_body_derivative(state, wrench, p)
+    _, v_dot, _, _ = rigid_body_derivative(np.zeros(3), np.zeros(3), R, np.zeros(3), wrench, p)
     # thrust along body z maps to inertial +x, gravity still pulls -z
     assert_allclose(v_dot, [p.g_mag, 0.0, -p.g_mag], atol=1e-12)
 
 
 def test_derivative_euler_term():
     p = default_params()
-    state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
-                           omega_b=np.array([1.0, 2.0, 3.0]))
-    _, _, _, om_dot = rigid_body_derivative(state, Wrench(F=np.zeros(3), tau=np.zeros(3)), p)
+    omega = np.array([1.0, 2.0, 3.0])
+    _, _, _, om_dot = rigid_body_derivative(np.zeros(3), np.zeros(3), np.eye(3), omega,
+                                            Wrench(F=np.zeros(3), tau=np.zeros(3)), p)
     J = np.diag(p.J_b)
-    expected = -np.cross(state.omega_b, J * state.omega_b) / J
+    expected = -np.cross(omega, J * omega) / J
     assert_allclose(om_dot, expected)
 
 
@@ -137,7 +105,7 @@ def test_integrate_step_free_fall_is_exact():
                            R=np.eye(3), omega_b=np.zeros(3))
     dt = 0.05
     zero = Wrench(F=np.zeros(3), tau=np.zeros(3))
-    state = integrate_step(state, lambda t: zero, dt, p)
+    state = integrate_step(state, zero, dt, p)
     assert_allclose(state.x, [dt, 0.0, -0.5 * p.g_mag * dt**2], atol=1e-15)
     assert_allclose(state.v, [1.0, 0.0, -p.g_mag * dt], atol=1e-15)
 
@@ -150,7 +118,7 @@ def test_integrate_step_constant_spin_stays_orthonormal():
     dt = 0.001
     n = 500
     for _ in range(n):
-        state = integrate_step(state, lambda t: hover, dt, p)
+        state = integrate_step(state, hover, dt, p)
     assert is_rotation(state.R)
     # spin about the z principal axis is torque-free, so omega is constant
     assert_allclose(state.omega_b, omega, atol=1e-12)
@@ -166,7 +134,7 @@ def test_integrate_step_constant_torque_spin_up():
     dt = 0.001
     n = 1000
     for _ in range(n):
-        state = integrate_step(state, lambda t: wrench, dt, p)
+        state = integrate_step(state, wrench, dt, p)
     # principal-axis spin-up: omega_z = tau / J_zz * t, no cross coupling
     assert_allclose(state.omega_b, [0.0, 0.0, tau_z / 0.14 * n * dt], atol=1e-10)
 
@@ -181,7 +149,7 @@ def test_integrate_step_convergence_order():
                                omega_b=omega0.copy())
         zero = Wrench(F=np.zeros(3), tau=np.zeros(3))
         for _ in range(n):
-            state = integrate_step(state, lambda t: zero, dt, p)
+            state = integrate_step(state, zero, dt, p)
         return state
 
     ref = final_R(1.0e-4, 10000)
@@ -197,4 +165,4 @@ def test_integrate_step_raises_on_non_finite():
     state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), omega_b=np.zeros(3))
     bad = Wrench(F=np.array([np.inf, 0.0, 0.0]), tau=np.zeros(3))
     with np.errstate(all="ignore"), pytest.raises(RuntimeError):
-        integrate_step(state, lambda t: bad, 0.001, p)
+        integrate_step(state, bad, 0.001, p)
