@@ -9,7 +9,8 @@ singularity handlers and the tilt rate limit, and projects u back onto
 the commanded tilt angles to obtain nonnegative rotor speeds.
 
 Column and u-vector ordering: arm i contributes four consecutive entries
-[sin upper, cos upper, sin lower, cos lower] at offset 4*i.
+[sin upper, cos upper, sin lower, cos lower] at offset 4*i. Rotor j
+sits on arm vehicle.ARM[j], upper rotors 0-5 first.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .singularity import (
     tilt_bias_multiplier,
     z_misalignment,
 )
-from .vehicle import VehicleParams, rotor_columns
+from .vehicle import VehicleParams, build_A_alpha, rotor_columns
 
 # Pair magnitudes below this fraction of the largest arm's are treated as
 # zero in the tilt-angle extraction (the angle is no longer informative).
@@ -40,16 +41,6 @@ def build_A(params: VehicleParams):
     sin_cols, cos_cols = rotor_columns(params)
     blocks = (sin_cols[:, :6], cos_cols[:, :6], sin_cols[:, 6:], cos_cols[:, 6:])
     return np.stack(blocks, axis=2).reshape(6, 24)
-
-
-def build_A_alpha(params: VehicleParams, alpha):
-    """Instantaneous 6x12 allocation matrix at tilt angles alpha."""
-    alpha = np.asarray(alpha, dtype=float)
-    sin_cols, cos_cols = rotor_columns(params)
-    idx = np.arange(12) % 6
-    sa = np.sin(alpha[idx])
-    ca = np.cos(alpha[idx])
-    return sin_cols * sa + cos_cols * ca
 
 
 def pseudo_inverse_allocate(w_des, A):
@@ -83,13 +74,10 @@ def extract_rotor_speeds(u, alpha, params: VehicleParams):
     rotor's requested thrust; those speeds clamp to zero, and all speeds
     clamp to Omega_max.
     """
-    u = np.asarray(u, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    Omega = np.empty(12)
-    for i in range(6):
-        sa, ca = np.sin(alpha[i]), np.cos(alpha[i])
-        Omega[i] = sa * u[4 * i + 0] + ca * u[4 * i + 1]
-        Omega[i + 6] = sa * u[4 * i + 2] + ca * u[4 * i + 3]
+    u = np.asarray(u, dtype=float).reshape(6, 4)
+    alpha = np.asarray(alpha, dtype=float)[:, None]
+    # Rows are arms, columns upper and lower rotor; transposed to rotor order.
+    Omega = (np.sin(alpha) * u[:, 0::2] + np.cos(alpha) * u[:, 1::2]).T.ravel()
     return np.clip(Omega, 0.0, params.Omega_max)
 
 
@@ -111,8 +99,6 @@ class Allocator:
         self.params = params
         self.sing_params = sing_params
         self.A = build_A(params)
-        if np.linalg.matrix_rank(self.A) < 6:
-            raise ValueError("allocation matrix is rank deficient")
         self.A_pinv = np.linalg.pinv(self.A)
 
     def allocate(self, w_des, alpha_prev, dt) -> ActuatorCommand:

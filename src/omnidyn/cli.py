@@ -7,8 +7,9 @@ Commands:
   efficiency  hover efficiency sweep
 
 Exit codes: 0 success, 1 usage error, 2 configuration error,
-3 numerical failure. All outputs are deterministic: re-running a
-command reproduces byte-identical files.
+3 numerical failure (a diverged simulate run still writes its partial
+log). All outputs are deterministic: re-running a command reproduces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -110,13 +111,15 @@ def _cmd_simulate(args, cfg, out_dir):
               f"(choose from {', '.join(EXPERIMENTS)})", file=sys.stderr)
         return 1
     trajectory = _make_trajectory(args.experiment, cfg)
+    name = args.experiment
+    log_path = os.path.join(out_dir, f"{name}_log.csv")
     try:
         log = simulate(trajectory, cfg.vehicle, cfg.gains, cfg.singularity, cfg.sim)
     except SimulationDiverged as exc:
-        print(f"omnidyn: numerical failure: {exc}", file=sys.stderr)
+        exc.log.to_csv(log_path)
+        print(f"omnidyn: numerical failure: {exc}; partial log in {log_path}", file=sys.stderr)
         return 3
-    name = args.experiment
-    log.to_csv(os.path.join(out_dir, f"{name}_log.csv"))
+    log.to_csv(log_path)
     summary = tracking_summary(log)
     _write_json(os.path.join(out_dir, f"{name}_summary.json"), summary.as_dict())
     return 0

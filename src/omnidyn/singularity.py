@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mathcore import angle_between, angle_to_plane
-from .vehicle import VehicleParams, rotor_columns
+from .vehicle import ARM, VehicleParams, build_A_alpha, rotor_columns
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -132,11 +132,7 @@ def derivative_allocation(params: VehicleParams, alpha, Omega):
     alpha = np.asarray(alpha, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
     sin_cols, cos_cols = rotor_columns(params)
-    sa = np.sin(alpha[np.arange(12) % 6])
-    ca = np.cos(alpha[np.arange(12) % 6])
-    A_alpha = sin_cols * sa + cos_cols * ca
-    B = np.zeros((6, 6))
-    for i in range(6):
-        for j in (i, i + 6):
-            B[:, i] += (np.cos(alpha[i]) * sin_cols[:, j] - np.sin(alpha[i]) * cos_cols[:, j]) * Omega[j]
-    return np.hstack([A_alpha, B])
+    dA = sin_cols * np.cos(alpha[ARM]) - cos_cols * np.sin(alpha[ARM])
+    # Columns j and j + 6 belong to arm j: sum each arm's rotor pair.
+    B = (dA * Omega).reshape(6, 2, 6).sum(axis=1)
+    return np.hstack([build_A_alpha(params, alpha), B])

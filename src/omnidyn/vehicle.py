@@ -2,8 +2,9 @@
 
 The vehicle has six tilt arms spaced evenly about the body z-axis. Each
 arm carries a counter-rotating rotor pair (upper rotor j = arm index i,
-lower rotor j = i + 6). Thrust is quadratic in rotor speed, so all rotor
-"speeds" Omega in this package are squared speeds in (rad/s)^2.
+lower rotor j = i + 6; ARM maps each rotor to its arm). Thrust is
+quadratic in rotor speed, so all rotor "speeds" Omega in this package are
+squared speeds in (rad/s)^2.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mathcore import hat, orthonormalize
+
+# Rotor j sits on arm j % 6: upper rotors 0-5, lower rotors 6-11.
+ARM = np.arange(12) % 6
 
 
 @dataclass
@@ -69,6 +73,18 @@ class VehicleParams:
         for name in ("c_f", "c_d", "l_x", "Omega_max", "alpha_dot_max", "g_mag"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        # The sin and cos columns side by side are a column permutation of
+        # allocation.build_A: same rank, same pseudo-inverse up to row order.
+        # Extreme coefficients overflow the matrix or its inverse; the checks
+        # report that as a bad parameter instead of a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = np.hstack(rotor_columns(self))
+            if not np.all(np.isfinite(A)):
+                raise ValueError("allocation matrix is not finite")
+            if np.linalg.matrix_rank(A) < 6:
+                raise ValueError("allocation matrix is rank deficient")
+            if not np.all(np.isfinite(np.linalg.pinv(A))):
+                raise ValueError("allocation matrix has no finite pseudo-inverse")
 
 
 @dataclass
@@ -115,22 +131,26 @@ def rotor_columns(params: VehicleParams):
 
     Returns (sin_cols, cos_cols), each 6x12. Column j is the body wrench
     produced per unit of sin(alpha_i)*Omega_j (respectively
-    cos(alpha_i)*Omega_j) for rotor j on arm i = j % 6. The sin component
+    cos(alpha_i)*Omega_j) for rotor j on arm i = ARM[j]. The sin component
     is thrust along the arm tangent; the cos component is thrust along
     body z. Drag torque enters through the moment arm c_d with the spin
     direction s_j.
     """
-    sin_cols = np.zeros((6, 12))
-    cos_cols = np.zeros((6, 12))
-    cf, cd, lx = params.c_f, params.c_d, params.l_x
-    for j in range(12):
-        i = j % 6
-        g = params.gamma[i]
-        sj = params.s[j]
-        sg, cg = np.sin(g), np.cos(g)
-        sin_cols[:, j] = cf * np.array([sg, -cg, 0.0, -sj * cd * sg, sj * cd * cg, -lx])
-        cos_cols[:, j] = cf * np.array([0.0, 0.0, 1.0, lx * sg, -lx * cg, -sj * cd])
+    g = params.gamma[ARM]
+    sg, cg = np.sin(g), np.cos(g)
+    sd = params.s * params.c_d
+    zero, one = np.zeros(12), np.ones(12)
+    lx = params.l_x
+    sin_cols = params.c_f * np.array([sg, -cg, zero, -sd * sg, sd * cg, -lx * one])
+    cos_cols = params.c_f * np.array([zero, zero, one, lx * sg, -lx * cg, -sd])
     return sin_cols, cos_cols
+
+
+def build_A_alpha(params: VehicleParams, alpha):
+    """Instantaneous 6x12 allocation matrix at tilt angles alpha."""
+    alpha = np.asarray(alpha, dtype=float)[ARM]
+    sin_cols, cos_cols = rotor_columns(params)
+    return sin_cols * np.sin(alpha) + cos_cols * np.cos(alpha)
 
 
 def rigid_body_derivative(x, v, R, omega_b, wrench: Wrench, params: VehicleParams):
@@ -151,29 +171,23 @@ def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehiclePar
     """Advance the rigid body by dt with classical RK4 under a held body
     thrust wrench.
 
-    The rotation matrix is re-orthonormalized after the step. Raises
+    RK4 runs on the packed 18-vector (x, v, R row-major, omega_b). The
+    rotation matrix is re-orthonormalized after the step. Raises
     RuntimeError if the step produces non-finite values.
     """
 
-    def deriv(x, v, R, om):
-        return rigid_body_derivative(x, v, R, om, wrench, params)
+    def deriv(y):
+        x_dot, v_dot, R_dot, omega_dot = rigid_body_derivative(
+            y[:3], y[3:6], y[6:15].reshape(3, 3), y[15:], wrench, params)
+        return np.concatenate([x_dot, v_dot, R_dot.ravel(), omega_dot])
 
-    x0, v0, R0, om0 = state.x, state.v, state.R, state.omega_b
-    k1 = deriv(x0, v0, R0, om0)
-    k2 = deriv(x0 + 0.5 * dt * k1[0], v0 + 0.5 * dt * k1[1],
-               R0 + 0.5 * dt * k1[2], om0 + 0.5 * dt * k1[3])
-    k3 = deriv(x0 + 0.5 * dt * k2[0], v0 + 0.5 * dt * k2[1],
-               R0 + 0.5 * dt * k2[2], om0 + 0.5 * dt * k2[3])
-    k4 = deriv(x0 + dt * k3[0], v0 + dt * k3[1],
-               R0 + dt * k3[2], om0 + dt * k3[3])
+    y0 = np.concatenate([state.x, state.v, state.R.ravel(), state.omega_b])
+    k1 = deriv(y0)
+    k2 = deriv(y0 + 0.5 * dt * k1)
+    k3 = deriv(y0 + 0.5 * dt * k2)
+    k4 = deriv(y0 + dt * k3)
+    y = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    w = dt / 6.0
-    x = x0 + w * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    v = v0 + w * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    R = R0 + w * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    om = om0 + w * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))
-            and np.all(np.isfinite(R)) and np.all(np.isfinite(om))):
+    if not np.all(np.isfinite(y)):
         raise RuntimeError("integration step produced non-finite state")
-    return RigidBodyState(x=x, v=v, R=orthonormalize(R), omega_b=om)
+    return RigidBodyState(x=y[:3], v=y[3:6], R=orthonormalize(y[6:15].reshape(3, 3)), omega_b=y[15:])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from omnidyn import cli
+from omnidyn.simulation import SimLog, SimulationDiverged, log_column_names
 
 CLI = [sys.executable, "-m", "omnidyn.cli"]
 
@@ -71,6 +72,9 @@ def test_bad_config_is_config_error(tmp_path):
     '{"n_dirs": 0}',
     '{"n_dirs": Infinity}',
     '{"n_dirs": 2.7}',
+    '{"vehicle": {"c_d": 1e300}}',                  # allocation matrix rank deficient
+    '{"vehicle": {"c_f": 1e-320}}',                 # pseudo-inverse overflows
+    '{"vehicle": {"c_f": 1e10, "l_x": 1e300}}',     # allocation matrix overflows
 ])
 def test_non_finite_or_misshaped_config_is_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.json"
@@ -96,6 +100,20 @@ def test_linear_algebra_failure_is_numerical_failure(tmp_path, capsys, monkeypat
     assert cli.main(["condmap", "--n-dirs", "4", "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (tmp_path / "effective_config.json").exists()
+
+
+def test_diverged_run_keeps_its_partial_log(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        partial = SimLog(data=np.zeros((2, len(log_column_names()))), dt_control=0.005)
+        raise SimulationDiverged("integration step produced non-finite state", partial)
+
+    monkeypatch.setattr(cli, "simulate", diverge)
+    assert cli.main(["simulate", "--experiment", "hover", "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["hover_log.csv"]
+    header, rows = read_csv(tmp_path / "hover_log.csv")
+    assert header == log_column_names()
+    assert rows.shape[0] == 2
 
 
 def test_missing_config_file_is_config_error(tmp_path):
