@@ -11,9 +11,6 @@ from .allocation import (
     pseudo_inverse_allocate,
 )
 from .analysis import (
-    ConditionSample,
-    EfficiencyRecord,
-    EnvelopeSample,
     condition_map,
     force_envelope,
     hover_sweep,
@@ -48,7 +45,6 @@ from .vehicle import (
     RigidBodyState,
     VehicleParams,
     Wrench,
-    default_params,
     integrate_step,
     rigid_body_derivative,
     rotor_columns,

@@ -125,10 +125,7 @@ class Allocator:
             F_dir = F / F_norm
             k_t = tilt_bias_multiplier(z_misalignment(F_dir), sp)
             delta = apply_tilt_bias(delta, k_t, sp)
-            k_alpha = np.array([
-                damping_multiplier(arm_alignment(F_dir, i, params), sp)
-                for i in range(6)
-            ])
+            k_alpha = damping_multiplier(arm_alignment(F_dir, np.arange(6), params), sp)
             delta = apply_damping_and_unwind(delta, k_alpha, alpha_prev, sp, dt)
 
         limit = params.alpha_dot_max * dt

@@ -8,33 +8,11 @@ of canonical directions first, then Fibonacci-sphere samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .allocation import Allocator, build_A_alpha, extract_rotor_speeds, extract_tilt_angles
-from .singularity import SingularityParams, tilt_bias_multiplier, z_misalignment
+from .singularity import SingularityParams, apply_tilt_bias, tilt_bias_multiplier, z_misalignment
 from .vehicle import VehicleParams
-
-
-@dataclass
-class EnvelopeSample:
-    direction: np.ndarray
-    radius: float
-
-
-@dataclass
-class ConditionSample:
-    direction: np.ndarray
-    log10_cond: float
-
-
-@dataclass
-class EfficiencyRecord:
-    direction: np.ndarray
-    eta_P: float
-    eta_f: float
-    total_power: float
 
 
 def fibonacci_sphere(n):
@@ -83,26 +61,24 @@ def efficiency_directions(n):
     return _with_canonical(canonical, n)
 
 
-def static_allocation(w_des, allocator: Allocator, biased=False,
-                      sing_params: SingularityParams | None = None):
+def static_allocation(w_des, allocator: Allocator):
     """Converged actuator state for a constant wrench: (alpha, Omega, u).
 
     Solves the minimum-norm allocation and extracts tilt angles with no
-    rate limiting (degenerate arms hold zero). With biased=True the
-    converged tilt-bias offsets k_t * b_i * c_t are added before the
-    rotor speeds are projected.
+    rate limiting (degenerate arms hold zero). When the allocator carries
+    singularity params, the converged tilt-bias offsets are added before
+    the rotor speeds are projected, as Allocator.allocate does.
     """
     params = allocator.params
     w_des = np.asarray(w_des, dtype=float)
     u = allocator.A_pinv @ w_des
     alpha = extract_tilt_angles(u, np.zeros(6))
-    if biased:
-        sp = sing_params or SingularityParams()
+    sp = allocator.sing_params
+    if sp is not None:
         F = w_des[:3]
         F_norm = np.linalg.norm(F)
         if F_norm > 0.0:
-            k_t = tilt_bias_multiplier(z_misalignment(F / F_norm), sp)
-            alpha = alpha + k_t * sp.b * sp.c_t
+            alpha = apply_tilt_bias(alpha, tilt_bias_multiplier(z_misalignment(F / F_norm), sp), sp)
     Omega = extract_rotor_speeds(u, alpha, params)
     return alpha, Omega, u
 
@@ -110,50 +86,45 @@ def static_allocation(w_des, allocator: Allocator, biased=False,
 def _envelope(params, n_dirs, torque):
     allocator = Allocator(params)
     dirs = envelope_directions(n_dirs)
-
-    def radius_of(d):
-        w = np.concatenate([np.zeros(3), d]) if torque else np.concatenate([d, np.zeros(3)])
-        alpha, Omega, _ = static_allocation(w, allocator)
-        peak = float(np.max(Omega))
-        if peak == 0.0:
-            return EnvelopeSample(direction=d, radius=0.0)
-        # Extraction is homogeneous in the wrench magnitude at fixed
-        # direction, so the largest feasible scale hits Omega_max exactly.
-        return EnvelopeSample(direction=d, radius=params.Omega_max / peak)
-
-    return [radius_of(d) for d in dirs]
+    zero = np.zeros_like(dirs)
+    wrenches = np.hstack([zero, dirs] if torque else [dirs, zero])
+    peak = np.array([np.max(static_allocation(w, allocator)[1]) for w in wrenches])
+    # Extraction is homogeneous in the wrench magnitude at fixed direction,
+    # so the largest feasible scale hits Omega_max exactly.
+    radius = np.divide(params.Omega_max, peak, out=np.zeros(len(dirs)), where=peak > 0.0)
+    return dirs, radius
 
 
 def force_envelope(params: VehicleParams, n_dirs=2000):
-    """Largest force magnitude per direction with zero torque, N."""
+    """(dirs, radius): largest force magnitude per direction with zero torque, N."""
     return _envelope(params, n_dirs, torque=False)
 
 
 def torque_envelope(params: VehicleParams, n_dirs=2000):
-    """Largest torque magnitude per direction with zero force, N m."""
+    """(dirs, radius): largest torque magnitude per direction with zero force, N m."""
     return _envelope(params, n_dirs, torque=True)
 
 
-def condition_map(params: VehicleParams, n_dirs=2000, biased=False,
-                  sing_params: SingularityParams | None = None):
-    """log10 condition number of the instantaneous allocation matrix.
+def condition_map(params: VehicleParams, n_dirs=2000, sing_params: SingularityParams | None = None):
+    """(dirs, log10_cond) of the instantaneous allocation matrix.
 
     Evaluated at the converged tilt angles for a unit force request in
-    each direction. Rank-deficient matrices report +inf.
+    each direction, tilt-biased when sing_params is given. Rank-deficient
+    matrices report +inf.
     """
-    allocator = Allocator(params)
+    allocator = Allocator(params, sing_params)
     dirs = condmap_directions(n_dirs)
 
-    def cond_of(d):
-        w = np.concatenate([d, np.zeros(3)])
-        alpha, _, _ = static_allocation(w, allocator, biased=biased, sing_params=sing_params)
+    def log10_cond(w):
+        alpha, _, _ = static_allocation(w, allocator)
         svals = np.linalg.svd(build_A_alpha(params, alpha), compute_uv=False)
         tol = svals[0] * 12 * np.finfo(float).eps
         if svals[-1] <= tol:
-            return ConditionSample(direction=d, log10_cond=np.inf)
-        return ConditionSample(direction=d, log10_cond=float(np.log10(svals[0] / svals[-1])))
+            return np.inf
+        return np.log10(svals[0] / svals[-1])
 
-    return [cond_of(d) for d in dirs]
+    wrenches = np.hstack([dirs, np.zeros_like(dirs)])
+    return dirs, np.array([log10_cond(w) for w in wrenches])
 
 
 def wasted_force_index(rotor_thrusts, F_b):
@@ -189,7 +160,8 @@ def power_efficiency(rotor_thrusts, params: VehicleParams):
 
 
 def hover_sweep(params: VehicleParams, n_orientations=2000):
-    """Efficiency of hovering with the weight along each body direction.
+    """(dirs, eta_P, eta_f, total_power) of hovering with the weight along
+    each body direction.
 
     For each direction d the wrench [m g d; 0] is allocated (unbiased,
     converged) and the wasted-force and power-efficiency indices are
@@ -197,16 +169,14 @@ def hover_sweep(params: VehicleParams, n_orientations=2000):
     """
     allocator = Allocator(params)
     dirs = efficiency_directions(n_orientations)
-    mg = params.m * params.g_mag
 
-    def record_of(d):
-        w = np.concatenate([mg * d, np.zeros(3)])
+    def indices(w):
         alpha, Omega, _ = static_allocation(w, allocator)
         thrusts = params.c_f * Omega
         F_b = build_A_alpha(params, alpha) @ Omega
-        eta_f = wasted_force_index(thrusts, F_b[:3])
         total_power, eta_P = power_efficiency(thrusts, params)
-        return EfficiencyRecord(direction=d, eta_P=eta_P, eta_f=eta_f,
-                                total_power=total_power)
+        return eta_P, wasted_force_index(thrusts, F_b[:3]), total_power
 
-    return [record_of(d) for d in dirs]
+    wrenches = np.hstack([params.m * params.g_mag * dirs, np.zeros_like(dirs)])
+    eta_P, eta_f, total_power = np.array([indices(w) for w in wrenches]).T
+    return dirs, eta_P, eta_f, total_power

@@ -129,27 +129,25 @@ def _cmd_envelope(args, cfg, out_dir):
     n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
     for fname, sweep in (("force_envelope.csv", force_envelope),
                          ("torque_envelope.csv", torque_envelope)):
-        samples = sweep(cfg.vehicle, n)
         _write_csv(os.path.join(out_dir, fname), ["dx", "dy", "dz", "radius"],
-                   [[*s.direction, s.radius] for s in samples])
+                   np.column_stack(sweep(cfg.vehicle, n)))
     return 0
 
 
 def _cmd_condmap(args, cfg, out_dir):
     n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
-    samples = condition_map(cfg.vehicle, n, biased=args.biased, sing_params=cfg.singularity)
+    columns = condition_map(cfg.vehicle, n, cfg.singularity if args.biased else None)
     fname = "condmap_biased.csv" if args.biased else "condmap_unbiased.csv"
     _write_csv(os.path.join(out_dir, fname), ["dx", "dy", "dz", "log10_cond"],
-               [[*s.direction, s.log10_cond] for s in samples])
+               np.column_stack(columns))
     return 0
 
 
 def _cmd_efficiency(args, cfg, out_dir):
     n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
-    records = hover_sweep(cfg.vehicle, n)
     _write_csv(os.path.join(out_dir, "efficiency.csv"),
                ["dx", "dy", "dz", "eta_P", "eta_f", "total_power"],
-               [[*r.direction, r.eta_P, r.eta_f, r.total_power] for r in records])
+               np.column_stack(hover_sweep(cfg.vehicle, n)))
     return 0
 
 

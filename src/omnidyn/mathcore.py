@@ -41,23 +41,19 @@ def rotation_from_axis_angle(axis, angle):
 
 
 def angle_between(a, b):
-    """Angle between two nonzero vectors, in [0, pi]."""
+    """Angle between two nonzero vectors, in [0, pi].
+
+    b may stack vectors along a leading axis; the result then holds one
+    angle per row. Rows use the same dot kernel as a single vector, so
+    each angle is bit-for-bit the one a per-row call returns.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    na = np.sqrt(np.vecdot(a, a))
+    nb = np.sqrt(np.vecdot(b, b))
+    if na == 0.0 or np.any(nb == 0.0):
         raise ValueError("angle_between: zero-length vector has no direction")
-    c = np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)
-    return float(np.arccos(c))
-
-
-def angle_to_plane(v, normal):
-    """Angle between a vector and the plane with the given unit normal, in [0, pi/2]."""
-    v = np.asarray(v, dtype=float)
-    if np.linalg.norm(v) == 0.0:
-        raise ValueError("angle_to_plane: zero-length vector has no direction")
-    return abs(np.pi / 2.0 - angle_between(v, normal))
+    return np.arccos(np.clip(np.vecdot(b, a) / (na * nb), -1.0, 1.0))
 
 
 def wrap_angle(theta):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import angle_between, angle_to_plane
+from .mathcore import angle_between
 from .vehicle import ARM, VehicleParams, build_A_alpha, rotor_columns
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -64,9 +64,8 @@ class SingularityParams:
 def z_misalignment(F_dir):
     """Angle of a unit force direction to the nearer of the body z-axis
     (either sign) and the body z-plane. Ranges over [0, pi/4]."""
-    to_axis = min(angle_between(F_dir, Z_AXIS), angle_between(F_dir, -Z_AXIS))
-    to_plane = angle_to_plane(F_dir, Z_AXIS)
-    return min(to_axis, to_plane)
+    to_z = angle_between(F_dir, Z_AXIS)
+    return min(to_z, angle_between(F_dir, -Z_AXIS), abs(np.pi / 2.0 - to_z))
 
 
 def tilt_bias_multiplier(phi, params: SingularityParams):
@@ -85,20 +84,23 @@ def arm_alignment(F_dir, arm_index, params: VehicleParams):
     """Angle of a unit force direction to the line of arm arm_index.
 
     The line runs along (cos gamma_i, sin gamma_i, 0); alignment with
-    either end counts, so the result lies in [0, pi/2].
+    either end counts, so the result lies in [0, pi/2]. An array of arm
+    indices gives one angle per arm.
     """
     g = params.gamma[arm_index]
-    axis = np.array([np.cos(g), np.sin(g), 0.0])
-    return min(angle_between(F_dir, axis), angle_between(F_dir, -axis))
+    axis = np.stack([np.cos(g), np.sin(g), np.zeros_like(g)], axis=-1)
+    return np.minimum(angle_between(F_dir, axis), angle_between(F_dir, -axis))
 
 
 def damping_multiplier(eta, params: SingularityParams):
-    """Damping gain k_alpha: 1 (frozen) up to phi_0, quadratic ramp to 0 at phi_d."""
-    if eta <= params.phi_0:
-        return 1.0
-    if eta > params.phi_d:
-        return 0.0
-    return float((1.0 - (eta - params.phi_0) / (params.phi_d - params.phi_0)) ** 2)
+    """Damping gain k_alpha: 1 (frozen) up to phi_0, quadratic ramp to 0 at phi_d.
+
+    Elementwise over an array of angles. The square goes through pow, as
+    a Python float's ** 2 does, so a gain does not depend on whether its
+    angle came alone or in an array.
+    """
+    ramp = 1.0 - (np.asarray(eta) - params.phi_0) / (params.phi_d - params.phi_0)
+    return np.float_power(np.clip(ramp, 0.0, 1.0), 2.0)
 
 
 def apply_damping_and_unwind(delta_alpha_tilde, k_alpha, alpha_prev, params: SingularityParams, dt):

@@ -112,7 +112,7 @@ def make_singular_translation(params: VehicleParams, amplitude=1.0,
     return Trajectory(duration=reorient + period, sampler=sampler)
 
 
-def make_cartwheel(period=12.0, reorient=4.0, params: VehicleParams | None = None) -> Trajectory:
+def make_cartwheel(period=12.0, reorient=4.0) -> Trajectory:
     """Pitch to 90 degrees, then rotate 2*pi about the body z-axis.
 
     During the rotation the hover force direction sweeps the full body

@@ -58,12 +58,15 @@ class VehicleParams:
             raise ValueError("vehicle parameters must be finite")
         if self.x_com.shape != (3,):
             raise ValueError("x_com must have 3 entries")
-        if self.m <= 0.0:
-            raise ValueError("mass must be positive")
+        # Subnormal mass or inertia underflows m * g and the inverse-inertia
+        # terms to 0 or inf in the controller and the plant.
+        tiny = np.finfo(float).tiny
+        if self.m < tiny:
+            raise ValueError("mass must be positive and not subnormal")
         if self.J_b.shape != (3, 3):
             raise ValueError("J_b must be 3x3")
-        if np.any(np.diag(self.J_b) <= 0.0) or np.max(np.abs(self.J_b - np.diag(np.diag(self.J_b)))) > 0.0:
-            raise ValueError("J_b must be diagonal with positive entries")
+        if np.any(np.diag(self.J_b) < tiny) or np.max(np.abs(self.J_b - np.diag(np.diag(self.J_b)))) > 0.0:
+            raise ValueError("J_b must be diagonal with positive, not subnormal entries")
         if self.gamma.shape != (6,):
             raise ValueError("gamma must have 6 arm azimuths")
         if self.s.shape != (12,) or not np.all(np.isin(self.s, (-1.0, 1.0))):
@@ -119,11 +122,6 @@ class Wrench:
 
     def as_vector(self):
         return np.concatenate([self.F, self.tau])
-
-
-def default_params() -> VehicleParams:
-    """Canonical parameter set: 4 kg, six arms at 60 deg spacing, 10 N per rotor."""
-    return VehicleParams()
 
 
 def rotor_columns(params: VehicleParams):

@@ -13,7 +13,7 @@ from omnidyn.allocation import (
     pseudo_inverse_allocate,
 )
 from omnidyn.singularity import SingularityParams, arm_alignment, z_misalignment
-from omnidyn.vehicle import default_params
+from omnidyn.vehicle import VehicleParams
 
 
 def wrench_oracle(params, alpha, Omega):
@@ -50,13 +50,13 @@ def embed(alpha, Omega):
 
 
 def test_build_A_shape_and_rank():
-    A = build_A(default_params())
+    A = build_A(VehicleParams())
     assert A.shape == (6, 24)
     assert np.linalg.matrix_rank(A) == 6
 
 
 def test_build_A_matches_physical_oracle():
-    p = default_params()
+    p = VehicleParams()
     A = build_A(p)
     rng = np.random.default_rng(10)
     for _ in range(50):
@@ -67,7 +67,7 @@ def test_build_A_matches_physical_oracle():
 
 
 def test_build_A_alpha_consistent_with_build_A():
-    p = default_params()
+    p = VehicleParams()
     A = build_A(p)
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -78,7 +78,7 @@ def test_build_A_alpha_consistent_with_build_A():
 
 
 def test_build_A_alpha_zero_tilt_is_cos_only():
-    p = default_params()
+    p = VehicleParams()
     A_alpha = build_A_alpha(p, np.zeros(6))
     # at zero tilt every rotor thrusts along +z
     assert_allclose(A_alpha[2, :], p.c_f)
@@ -87,7 +87,7 @@ def test_build_A_alpha_zero_tilt_is_cos_only():
 
 
 def test_pseudo_inverse_allocate_solves_and_minimizes_norm():
-    p = default_params()
+    p = VehicleParams()
     A = build_A(p)
     rng = np.random.default_rng(12)
     null_basis = [v for v in np.linalg.svd(A)[2][6:]]
@@ -125,7 +125,7 @@ def test_extract_tilt_angles_degenerate_arm_holds_previous():
 
 
 def test_extract_rotor_speeds_projection_and_clamps():
-    p = default_params()
+    p = VehicleParams()
     alpha = np.array([0.2, -0.3, 0.0, 1.0, -1.2, 0.4])
     Omega = np.linspace(1.0e4, 9.0e5, 12)
     u = embed(alpha, Omega)
@@ -142,7 +142,7 @@ def test_extract_rotor_speeds_projection_and_clamps():
 
 
 def test_allocator_hover_is_exact_and_uniform():
-    p = default_params()
+    p = VehicleParams()
     alc = Allocator(p)
     w = np.array([0.0, 0.0, p.m * p.g_mag, 0.0, 0.0, 0.0])
     cmd = alc.allocate(w, np.zeros(6), 0.005)
@@ -153,7 +153,7 @@ def test_allocator_hover_is_exact_and_uniform():
 
 
 def test_allocate_rate_limit_bounds_tilt_steps():
-    p = default_params()
+    p = VehicleParams()
     alc = Allocator(p)
     rng = np.random.default_rng(14)
     dt = 0.005
@@ -176,7 +176,7 @@ def uniform_tilt_wrench(params, theta):
 
 
 def test_allocate_steps_the_shortest_way_across_pi():
-    p = default_params()
+    p = VehicleParams()
     alc = Allocator(p)
     w = uniform_tilt_wrench(p, -np.pi + 0.01)
     prev = np.full(6, np.pi - 0.01)
@@ -194,7 +194,7 @@ def test_allocate_steps_the_shortest_way_across_pi():
 
 def test_allocate_tilt_winds_up_without_wrapping():
     # chasing a tilt command that circles keeps increasing the unwrapped angle
-    p = default_params()
+    p = VehicleParams()
     alc = Allocator(p)
     alpha = np.zeros(6)
     for k in range(300):
@@ -205,7 +205,7 @@ def test_allocate_tilt_winds_up_without_wrapping():
 def test_pipeline_round_trip_pure_force_with_margins():
     """Force-only wrenches away from both alignment families reconstruct
     to machine precision once the tilt angles have converged."""
-    p = default_params()
+    p = VehicleParams()
     sp = SingularityParams()
     alc = Allocator(p, sp)
     rng = np.random.default_rng(15)
@@ -228,7 +228,7 @@ def test_pipeline_round_trip_pure_force_with_margins():
 
 
 def test_pipeline_diagnostics_report_handlers():
-    p = default_params()
+    p = VehicleParams()
     sp = SingularityParams()
     alc = Allocator(p, sp)
     # straight-up force: z-misalignment 0 gives full bias
@@ -247,7 +247,7 @@ def test_pipeline_diagnostics_report_handlers():
 
 
 def test_pipeline_without_handlers_skips_bias():
-    p = default_params()
+    p = VehicleParams()
     alc = Allocator(p)  # no singularity params attached
     cmd = alc.allocate(np.array([0.0, 0.0, 40.0, 0.0, 0.0, 0.0]), np.zeros(6), 0.005)
     assert cmd.k_t == 0.0

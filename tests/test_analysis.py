@@ -21,7 +21,7 @@ from omnidyn.analysis import (
 )
 from omnidyn.mathcore import rotation_from_axis_angle
 from omnidyn.singularity import SingularityParams
-from omnidyn.vehicle import default_params
+from omnidyn.vehicle import VehicleParams
 
 
 def test_fibonacci_sphere_units_and_determinism():
@@ -63,7 +63,7 @@ def test_direction_sets_truncate_small_n():
 
 
 def test_static_allocation_hover():
-    p = default_params()
+    p = VehicleParams()
     alc = Allocator(p)
     w = np.array([0.0, 0.0, p.m * p.g_mag, 0.0, 0.0, 0.0])
     alpha, Omega, u = static_allocation(w, alc)
@@ -73,18 +73,20 @@ def test_static_allocation_hover():
 
 
 def test_static_allocation_biased_adds_offsets():
-    p = default_params()
+    p = VehicleParams()
     sp = SingularityParams()
-    alc = Allocator(p)
     w = np.array([0.0, 0.0, p.m * p.g_mag, 0.0, 0.0, 0.0])
-    alpha, _, _ = static_allocation(w, alc, biased=True, sing_params=sp)
+    alpha, _, _ = static_allocation(w, Allocator(p, sp))
     assert_allclose(alpha, sp.b * sp.c_t, atol=1e-12)
+    # an allocator without singularity params does not bias
+    alpha, _, _ = static_allocation(w, Allocator(p))
+    assert_allclose(alpha, 0.0, atol=1e-12)
 
 
 def test_force_envelope_axis_values():
-    p = default_params()
-    samples = force_envelope(p, 8)
-    radii = {tuple(np.round(s.direction, 6)): s.radius for s in samples}
+    p = VehicleParams()
+    dirs, radius = force_envelope(p, 8)
+    radii = dict(zip(map(tuple, np.round(dirs, 6)), radius))
     # +z: all twelve rotors at full thrust c_f * Omega_max = 10 N each
     assert_allclose(radii[(0.0, 0.0, 1.0)], 120.0, rtol=1e-12)
     assert_allclose(radii[(0.0, 0.0, -1.0)], 120.0, rtol=1e-12)
@@ -94,7 +96,7 @@ def test_force_envelope_axis_values():
 
 
 def test_force_envelope_six_fold_symmetry():
-    p = default_params()
+    p = VehicleParams()
     rng = np.random.default_rng(50)
     alc = Allocator(p)
 
@@ -110,40 +112,39 @@ def test_force_envelope_six_fold_symmetry():
 
 
 def test_torque_envelope_frozen_values():
-    p = default_params()
-    samples = torque_envelope(p, 6)
-    radii = {tuple(np.round(s.direction, 6)): s.radius for s in samples}
+    p = VehicleParams()
+    dirs, radius = torque_envelope(p, 6)
+    radii = dict(zip(map(tuple, np.round(dirs, 6)), radius))
     assert_allclose(radii[(1.0, 0.0, 0.0)], 20.843730358391536, rtol=1e-9)
     assert_allclose(radii[(0.0, 1.0, 0.0)], 18.05120000000001, rtol=1e-9)
-    assert all(s.radius > 0.0 for s in samples)
+    assert np.all(radius > 0.0)
 
 
 def test_condition_map_unbiased_sentinels():
-    p = default_params()
-    samples = condition_map(p, 14)
+    p = VehicleParams()
+    _, log10_cond = condition_map(p, 14)
     # the fourteen canonical directions all sit on rank-deficient geometry
-    assert all(np.isinf(s.log10_cond) for s in samples)
+    assert np.all(np.isinf(log10_cond))
 
 
 def test_condition_map_biased_is_finite_and_flat_at_singular_dirs():
-    p = default_params()
+    p = VehicleParams()
     sp = SingularityParams()
-    samples = condition_map(p, 14, biased=True, sing_params=sp)
-    conds = np.array([10.0**s.log10_cond for s in samples])
+    _, log10_cond = condition_map(p, 14, sp)
+    conds = 10.0**log10_cond
     assert np.all(np.isfinite(conds))
     # frozen value: same conditioning at every handled direction
     assert_allclose(conds, 18.09467005422965, rtol=1e-9)
 
 
 def test_condition_map_generic_directions_are_finite_unbiased():
-    p = default_params()
-    samples = condition_map(p, 200)
-    generic = [s.log10_cond for s in samples[14:]]
-    assert np.all(np.isfinite(generic))
+    p = VehicleParams()
+    _, log10_cond = condition_map(p, 200)
+    assert np.all(np.isfinite(log10_cond[14:]))
 
 
 def test_wasted_force_index_bounds_and_errors():
-    p = default_params()
+    p = VehicleParams()
     thrusts = np.full(12, 3.0)
     assert wasted_force_index(thrusts, np.array([0.0, 0.0, 36.0])) == 1.0
     assert_allclose(wasted_force_index(thrusts, np.array([0.0, 0.0, 18.0])), 0.5)
@@ -154,14 +155,14 @@ def test_wasted_force_index_bounds_and_errors():
 
 
 def test_hover_power_reference_value():
-    p = default_params()
+    p = VehicleParams()
     f_h = p.m * p.g_mag / 12.0
     assert_allclose(hover_power(p), 12.0 * f_h**1.5, rtol=1e-15)
     assert_allclose(hover_power(p), 70.9582465397786, rtol=1e-12)
 
 
 def test_power_efficiency_hover_is_one():
-    p = default_params()
+    p = VehicleParams()
     f_h = p.m * p.g_mag / 12.0
     total, eta = power_efficiency(np.full(12, f_h), p)
     assert_allclose(total, hover_power(p), rtol=1e-12)
@@ -176,23 +177,21 @@ def test_power_efficiency_hover_is_one():
 
 
 def test_hover_sweep_z_and_arm_axis_values():
-    p = default_params()
-    records = hover_sweep(p, 8)
+    p = VehicleParams()
+    _, eta_P, eta_f, total_power = hover_sweep(p, 8)
     # +z and -z: perfectly aligned thrust
-    for r in records[:2]:
-        assert r.eta_f == 1.0
-        assert_allclose(r.eta_P, 1.0, rtol=1e-9)
-        assert_allclose(r.total_power, hover_power(p), rtol=1e-9)
+    assert np.all(eta_f[:2] == 1.0)
+    assert_allclose(eta_P[:2], 1.0, rtol=1e-9)
+    assert_allclose(total_power[:2], hover_power(p), rtol=1e-9)
     # arm axes: the aligned pair idles and the rest fight geometry;
     # sqrt(3)/2 falls out of the 60 degree arm spacing
-    for r in records[2:8]:
-        assert_allclose(r.eta_f, np.sqrt(3.0) / 2.0, rtol=1e-9)
-        assert_allclose(r.eta_P, 0.6580370064762462, rtol=1e-9)
+    assert_allclose(eta_f[2:8], np.sqrt(3.0) / 2.0, rtol=1e-9)
+    assert_allclose(eta_P[2:8], 0.6580370064762462, rtol=1e-9)
 
 
 def test_hover_sweep_mid_arm_value():
     """Halfway between adjacent arms the force index drops to exactly 3/4."""
-    p = default_params()
+    p = VehicleParams()
     alc = Allocator(p)
     d = np.array([np.cos(np.pi / 6.0), np.sin(np.pi / 6.0), 0.0])
     w = np.concatenate([p.m * p.g_mag * d, np.zeros(3)])
@@ -205,19 +204,17 @@ def test_hover_sweep_mid_arm_value():
 
 
 def test_hover_sweep_ranges():
-    p = default_params()
-    records = hover_sweep(p, 150)
-    eta_f = np.array([r.eta_f for r in records])
-    eta_P = np.array([r.eta_P for r in records])
+    p = VehicleParams()
+    _, eta_P, eta_f, total_power = hover_sweep(p, 150)
     assert np.all(eta_f > 0.0) and np.all(eta_f <= 1.0)
     assert np.all(eta_P > 0.0) and np.all(eta_P <= 1.0)
-    assert np.all([r.total_power >= hover_power(p) * (1.0 - 1e-12) for r in records])
+    assert np.all(total_power >= hover_power(p) * (1.0 - 1e-12))
 
 
 def test_envelope_runtime_budget():
     import time
 
-    p = default_params()
+    p = VehicleParams()
     t0 = time.perf_counter()
     force_envelope(p, 2000)
     assert time.perf_counter() - t0 < 5.0

@@ -75,6 +75,8 @@ def test_bad_config_is_config_error(tmp_path):
     '{"vehicle": {"c_d": 1e300}}',                  # allocation matrix rank deficient
     '{"vehicle": {"c_f": 1e-320}}',                 # pseudo-inverse overflows
     '{"vehicle": {"c_f": 1e10, "l_x": 1e300}}',     # allocation matrix overflows
+    '{"vehicle": {"m": 1e-320}}',                   # subnormal: m * g underflows
+    '{"vehicle": {"J_diag": [1e-320, 0.08, 0.14]}}',  # subnormal principal inertia
 ])
 def test_non_finite_or_misshaped_config_is_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.json"

@@ -12,7 +12,7 @@ from omnidyn.controller import (
     control_wrench,
 )
 from omnidyn.mathcore import rotation_from_axis_angle
-from omnidyn.vehicle import RigidBodyState, default_params
+from omnidyn.vehicle import RigidBodyState, VehicleParams
 
 
 def make_state(**kw):
@@ -85,7 +85,7 @@ def test_rate_error_transforms_setpoint_frame():
 
 
 def test_hover_wrench_compensates_gravity():
-    p = default_params()
+    p = VehicleParams()
     g = Gains()
     state = make_state()
     sp = TrajectorySetpoint()
@@ -95,7 +95,7 @@ def test_hover_wrench_compensates_gravity():
 
 
 def test_gravity_compensation_follows_attitude():
-    p = default_params()
+    p = VehicleParams()
     g = Gains()
     # inverted vehicle: compensation must point along body -z
     R = rotation_from_axis_angle(np.array([1.0, 0.0, 0.0]), np.pi)
@@ -106,7 +106,7 @@ def test_gravity_compensation_follows_attitude():
 
 
 def test_force_feedback_signs():
-    p = default_params()
+    p = VehicleParams()
     g = Gains()
     state = make_state(x=np.array([0.5, 0.0, 0.0]))
     sp = TrajectorySetpoint()
@@ -116,7 +116,7 @@ def test_force_feedback_signs():
 
 
 def test_acceleration_feedforward_enters_directly():
-    p = default_params()
+    p = VehicleParams()
     g = Gains()
     state = make_state()
     sp = TrajectorySetpoint(a_sp=np.array([2.0, 0.0, 0.0]))
@@ -125,7 +125,7 @@ def test_acceleration_feedforward_enters_directly():
 
 
 def test_torque_includes_gyroscopic_term():
-    p = default_params()
+    p = VehicleParams()
     g = Gains()
     omega = np.array([1.0, 2.0, 3.0])
     state = make_state(omega_b=omega)
@@ -136,9 +136,7 @@ def test_torque_includes_gyroscopic_term():
 
 
 def test_com_offset_adds_counter_torque():
-    from omnidyn.vehicle import VehicleParams
-
-    p = default_params()
+    p = VehicleParams()
     p_off = VehicleParams(x_com=np.array([0.05, 0.0, 0.0]))
     g = Gains()
     state = make_state()
@@ -151,7 +149,7 @@ def test_com_offset_adds_counter_torque():
 
 def test_velocity_transport_term():
     """A rotating body moving inertially needs the omega x R^T v correction."""
-    p = default_params()
+    p = VehicleParams()
     g = Gains()
     v = np.array([1.0, 0.0, 0.0])
     omega = np.array([0.0, 0.0, 2.0])

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from omnidyn.mathcore import (
     angle_between,
-    angle_to_plane,
     hat,
     is_rotation,
     orthonormalize,
@@ -90,20 +89,21 @@ def test_angle_between_known_values():
     assert_allclose(angle_between([1, 0, 0], [-2, 0, 0]), np.pi)
     # scale invariance
     assert_allclose(angle_between([3, 0, 0], [5, 5, 0]), np.pi / 4.0)
+    # rows of a stacked b: one angle each, bit for bit the formula on 1-D
+    # np.dot and np.linalg.norm
+    rng = np.random.default_rng(4)
+    a, rows = rng.normal(size=3), rng.normal(size=(1000, 3))
+    expected = [np.arccos(np.clip(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+                for b in rows]
+    assert np.array_equal(angle_between(a, rows), expected)
+    assert np.array_equal([angle_between(a, b) for b in rows], expected)
 
 
 def test_angle_between_rejects_zero_vector():
     with pytest.raises(ValueError):
         angle_between([0, 0, 0], [1, 0, 0])
-
-
-def test_angle_to_plane_complements_axis_angle():
-    z = np.array([0.0, 0.0, 1.0])
-    assert_allclose(angle_to_plane([1, 0, 0], z), 0.0, atol=1e-12)
-    assert_allclose(angle_to_plane([0, 0, 1], z), np.pi / 2.0)
-    assert_allclose(angle_to_plane([0, 0, -1], z), np.pi / 2.0)
-    v = np.array([1.0, 0.0, 1.0])
-    assert_allclose(angle_to_plane(v, z), np.pi / 4.0)
+    with pytest.raises(ValueError):
+        angle_between([1, 0, 0], [[1, 0, 0], [0, 0, 0]])
 
 
 def test_wrap_angle_scalar_and_array():

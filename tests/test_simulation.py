@@ -16,11 +16,11 @@ from omnidyn.simulation import (
 )
 from omnidyn.singularity import SingularityParams
 from omnidyn.trajectories import make_hover, make_translation
-from omnidyn.vehicle import RigidBodyState, default_params
+from omnidyn.vehicle import RigidBodyState, VehicleParams
 
 
 def run_short_hover(duration=1.0):
-    p = default_params()
+    p = VehicleParams()
     cfg = SimConfig(duration=duration)
     return simulate(make_hover(10.0), p, Gains(), SingularityParams(), cfg)
 
@@ -70,7 +70,7 @@ def test_simulate_starts_from_setpoint_by_default():
 def test_simulate_accepts_initial_state():
     # offset small enough that the commanded force stays inside the
     # envelope; larger offsets saturate the rotors and tumble
-    p = default_params()
+    p = VehicleParams()
     start = RigidBodyState(x=np.array([0.005, 0.0, 0.0]), v=np.zeros(3),
                            R=np.eye(3), omega_b=np.zeros(3))
     cfg = SimConfig(duration=0.5, initial_state=start)
@@ -87,7 +87,7 @@ def test_simulate_is_deterministic():
 
 
 def test_simulate_diverged_carries_partial_log():
-    p = default_params()
+    p = VehicleParams()
     start = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
                            omega_b=np.array([1e200, 0.0, 0.0]))
     cfg = SimConfig(duration=1.0, initial_state=start)
@@ -123,7 +123,7 @@ def test_log_csv_round_trips_floats(tmp_path):
 
 
 def test_tracking_summary_consistent_with_log():
-    p = default_params()
+    p = VehicleParams()
     cfg = SimConfig(duration=2.0)
     log = simulate(make_translation(0.5, 2.0), p, Gains(), SingularityParams(), cfg)
     s = tracking_summary(log)

@@ -15,7 +15,7 @@ from omnidyn.singularity import (
     tilt_bias_multiplier,
     z_misalignment,
 )
-from omnidyn.vehicle import default_params
+from omnidyn.vehicle import VehicleParams
 
 
 def test_default_singularity_params():
@@ -76,7 +76,7 @@ def test_apply_tilt_bias_alternates_arms():
 
 
 def test_arm_alignment_is_a_line_distance():
-    p = default_params()
+    p = VehicleParams()
     x = np.array([1.0, 0.0, 0.0])
     assert_allclose(arm_alignment(x, 0, p), 0.0, atol=1e-8)
     assert_allclose(arm_alignment(-x, 0, p), 0.0, atol=1e-8)   # either end of the line
@@ -98,6 +98,38 @@ def test_damping_multiplier_shape():
     etas = np.linspace(sp.phi_0, sp.phi_d, 30)
     vals = [damping_multiplier(e, sp) for e in etas]
     assert np.all(np.diff(vals) < 0.0)
+
+
+def test_array_gains_match_per_arm_scalars_bit_for_bit():
+    """The array-valued handlers give the same bits as per-arm scalar
+    formulas built from np.dot, 1-D norms and Python-float squares."""
+    p = VehicleParams()
+    sp = SingularityParams()
+    z = np.array([0.0, 0.0, 1.0])
+    axes = [np.array([np.cos(g), np.sin(g), 0.0]) for g in p.gamma]
+    lines = [z, -z, *axes, *(-a for a in axes)]
+    line_norms = [np.linalg.norm(b) for b in lines]
+
+    def gain(eta):
+        if eta <= sp.phi_0:
+            return 1.0
+        if eta > sp.phi_d:
+            return 0.0
+        return (1.0 - (eta - sp.phi_0) / (sp.phi_d - sp.phi_0)) ** 2
+
+    rng = np.random.default_rng(6)
+    # Random directions, plus directions within 1e-6 rad of each singular line.
+    near = np.repeat(lines, 40, axis=0) + rng.uniform(-5e-7, 5e-7, (40 * len(lines), 3))
+    dirs = np.vstack([rng.normal(size=(20000, 3)), lines, near])
+    for F in dirs / np.linalg.norm(dirs, axis=1)[:, None]:
+        nF = np.linalg.norm(F)
+        ang = [float(np.arccos(min(1.0, max(-1.0, np.dot(F, b) / (nF * nb)))))
+               for b, nb in zip(lines, line_norms)]
+        assert z_misalignment(F) == min(ang[0], ang[1], abs(np.pi / 2.0 - ang[0]))
+        eta = [min(ang[2 + i], ang[8 + i]) for i in range(6)]
+        eta_arr = arm_alignment(F, np.arange(6), p)
+        assert np.array_equal(eta_arr, eta)
+        assert np.array_equal(damping_multiplier(eta_arr, sp), [gain(e) for e in eta])
 
 
 def test_damping_passthrough_when_inactive():
@@ -158,7 +190,7 @@ def test_partial_damping_scales_the_request():
 
 
 def test_derivative_allocation_shape_and_consistency():
-    p = default_params()
+    p = VehicleParams()
     rng = np.random.default_rng(20)
     alpha = rng.uniform(-np.pi, np.pi, 6)
     Omega = rng.uniform(0.0, p.Omega_max, 12)
@@ -168,7 +200,7 @@ def test_derivative_allocation_shape_and_consistency():
 
 
 def test_derivative_allocation_matches_finite_differences():
-    p = default_params()
+    p = VehicleParams()
     rng = np.random.default_rng(21)
     h = 1e-6
     for _ in range(100):
@@ -186,6 +218,6 @@ def test_derivative_allocation_matches_finite_differences():
 
 
 def test_derivative_allocation_vanishes_with_stopped_rotors():
-    p = default_params()
+    p = VehicleParams()
     D = derivative_allocation(p, np.full(6, 0.3), np.zeros(12))
     assert_allclose(D[:, 12:], 0.0, atol=1e-18)

@@ -13,7 +13,7 @@ from omnidyn.trajectories import (
     make_translation,
     quintic_blend,
 )
-from omnidyn.vehicle import default_params
+from omnidyn.vehicle import VehicleParams
 
 
 def test_quintic_blend_boundary_conditions():
@@ -126,7 +126,7 @@ def test_flip_completes_a_full_turn():
 
 
 def test_singular_translation_points_arm_at_gravity():
-    p = default_params()
+    p = VehicleParams()
     tr = make_singular_translation(p, 1.0, 4.0, 6.0)
     assert tr.duration == 10.0
     R_hold = tr(4.0).R_sp
@@ -143,7 +143,7 @@ def test_singular_translation_points_arm_at_gravity():
 
 
 def test_cartwheel_sweeps_the_arm_plane():
-    p = default_params()
+    p = VehicleParams()
     tr = make_cartwheel(12.0, 4.0)
     assert tr.duration == 16.0
     R1 = tr(4.0).R_sp
@@ -165,7 +165,7 @@ def test_cartwheel_sweeps_the_arm_plane():
 
 
 def test_samplers_clamp_beyond_duration():
-    p = default_params()
+    p = VehicleParams()
     for tr in (make_translation(), make_rotation(), make_flip(),
                make_singular_translation(p), make_cartwheel()):
         end = tr(tr.duration)

@@ -9,7 +9,6 @@ from omnidyn.vehicle import (
     RigidBodyState,
     VehicleParams,
     Wrench,
-    default_params,
     integrate_step,
     rigid_body_derivative,
     rotor_columns,
@@ -17,7 +16,7 @@ from omnidyn.vehicle import (
 
 
 def test_default_params_values():
-    p = default_params()
+    p = VehicleParams()
     assert p.m == 4.0
     assert_allclose(np.diag(p.J_b), [0.08, 0.08, 0.14])
     assert p.l_x == 0.3
@@ -52,7 +51,7 @@ def test_rotor_columns_against_vector_oracle():
     unit sin product it pushes along the horizontal tangent d x z. The
     moment is r x f plus the drag moment -s * c_d * f.
     """
-    p = default_params()
+    p = VehicleParams()
     sin_cols, cos_cols = rotor_columns(p)
     z = np.array([0.0, 0.0, 1.0])
     for j in range(12):
@@ -79,7 +78,7 @@ def test_wrench_vector_round_trip():
 
 
 def test_derivative_gravity_and_frame_mapping():
-    p = default_params()
+    p = VehicleParams()
     # body frame pitched 90 deg: body z thrust pushes along inertial -x... check mapping
     R = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 2.0)
     wrench = Wrench(F=np.array([0.0, 0.0, p.m * p.g_mag]), tau=np.zeros(3))
@@ -89,7 +88,7 @@ def test_derivative_gravity_and_frame_mapping():
 
 
 def test_derivative_euler_term():
-    p = default_params()
+    p = VehicleParams()
     omega = np.array([1.0, 2.0, 3.0])
     _, _, _, om_dot = rigid_body_derivative(np.zeros(3), np.zeros(3), np.eye(3), omega,
                                             Wrench(F=np.zeros(3), tau=np.zeros(3)), p)
@@ -100,7 +99,7 @@ def test_derivative_euler_term():
 
 def test_integrate_step_free_fall_is_exact():
     # gravity-only motion is polynomial in t, so RK4 reproduces it exactly
-    p = default_params()
+    p = VehicleParams()
     state = RigidBodyState(x=np.zeros(3), v=np.array([1.0, 0.0, 0.0]),
                            R=np.eye(3), omega_b=np.zeros(3))
     dt = 0.05
@@ -111,7 +110,7 @@ def test_integrate_step_free_fall_is_exact():
 
 
 def test_integrate_step_constant_spin_stays_orthonormal():
-    p = default_params()
+    p = VehicleParams()
     omega = np.array([0.0, 0.0, 2.0])
     state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), omega_b=omega)
     hover = Wrench(F=np.array([0.0, 0.0, p.m * p.g_mag]), tau=np.zeros(3))
@@ -127,7 +126,7 @@ def test_integrate_step_constant_spin_stays_orthonormal():
 
 
 def test_integrate_step_constant_torque_spin_up():
-    p = default_params()
+    p = VehicleParams()
     tau_z = 0.07
     state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), omega_b=np.zeros(3))
     wrench = Wrench(F=np.zeros(3), tau=np.array([0.0, 0.0, tau_z]))
@@ -141,7 +140,7 @@ def test_integrate_step_constant_torque_spin_up():
 
 def test_integrate_step_convergence_order():
     """Halving dt shrinks the attitude error by about 2^4 (classical RK4)."""
-    p = default_params()
+    p = VehicleParams()
     omega0 = np.array([1.3, -0.7, 0.9])
 
     def final_R(dt, n):
@@ -163,7 +162,7 @@ def test_integrate_step_convergence_order():
 def test_integrate_step_is_per_component_rk4_bit_for_bit():
     """The packed 18-vector step equals textbook RK4 run on x, v, R and
     omega separately, to the last bit, over a long tumble."""
-    p = default_params()
+    p = VehicleParams()
     wrench = Wrench(F=np.array([1.0, -2.0, 45.0]), tau=np.array([0.03, -0.01, 0.02]))
     dt = 0.001
 
@@ -192,7 +191,7 @@ def test_integrate_step_is_per_component_rk4_bit_for_bit():
 
 
 def test_integrate_step_raises_on_non_finite():
-    p = default_params()
+    p = VehicleParams()
     state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), omega_b=np.zeros(3))
     bad = Wrench(F=np.array([np.inf, 0.0, 0.0]), tau=np.zeros(3))
     with np.errstate(all="ignore"), pytest.raises(RuntimeError):
