@@ -4,7 +4,6 @@ for a 12-rotor, six-tilt-arm omnidirectional multirotor."""
 from .allocation import (
     ActuatorCommand,
     Allocator,
-    build_A,
     build_A_alpha,
     extract_rotor_speeds,
     extract_tilt_angles,

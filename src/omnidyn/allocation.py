@@ -2,7 +2,7 @@
 
 The fixed 6x24 matrix A maps the stacked per-rotor products
 (sin(alpha_i) * Omega_j, cos(alpha_i) * Omega_j) to the body wrench. Its
-columns are tilt-independent, so its pseudo-inverse is computed once.
+columns are tilt-independent, so VehicleParams builds A and A^+ once.
 Allocation solves u = A^+ w for the minimum-norm u, recovers one tilt
 angle per arm with atan2 over the summed rotor pair, applies the
 singularity handlers and the tilt rate limit, and projects u back onto
@@ -29,18 +29,12 @@ from .singularity import (
     tilt_bias_multiplier,
     z_misalignment,
 )
+# rotor_columns is bound here so that perfbench/tracer.py can count column builds.
 from .vehicle import VehicleParams, build_A_alpha, rotor_columns
 
 # Pair magnitudes below this fraction of the largest arm's are treated as
 # zero in the tilt-angle extraction (the angle is no longer informative).
 DEGENERATE_REL_TOL = 1e-9
-
-
-def build_A(params: VehicleParams):
-    """Fixed 6x24 allocation matrix."""
-    sin_cols, cos_cols = rotor_columns(params)
-    blocks = (sin_cols[:, :6], cos_cols[:, :6], sin_cols[:, 6:], cos_cols[:, 6:])
-    return np.stack(blocks, axis=2).reshape(6, 24)
 
 
 def pseudo_inverse_allocate(w_des, A):
@@ -93,13 +87,11 @@ class ActuatorCommand:
 
 
 class Allocator:
-    """Caches A and its pseudo-inverse for repeated allocation calls."""
+    """Allocation for one vehicle, with singularity handlers unless sing_params is None."""
 
     def __init__(self, params: VehicleParams, sing_params: SingularityParams | None = None):
         self.params = params
         self.sing_params = sing_params
-        self.A = build_A(params)
-        self.A_pinv = np.linalg.pinv(self.A)
 
     def allocate(self, w_des, alpha_prev, dt) -> ActuatorCommand:
         """Full allocation pipeline for one control tick.
@@ -112,7 +104,7 @@ class Allocator:
         w_des = np.asarray(w_des, dtype=float)
         alpha_prev = np.asarray(alpha_prev, dtype=float)
 
-        u = self.A_pinv @ w_des
+        u = params.A_pinv @ w_des
         alpha_des = extract_tilt_angles(u, alpha_prev)
         delta = wrap_angle(alpha_des - alpha_prev)
 

@@ -71,7 +71,7 @@ def static_allocation(w_des, allocator: Allocator):
     """
     params = allocator.params
     w_des = np.asarray(w_des, dtype=float)
-    u = allocator.A_pinv @ w_des
+    u = params.A_pinv @ w_des
     alpha = extract_tilt_angles(u, np.zeros(6))
     sp = allocator.sing_params
     if sp is not None:

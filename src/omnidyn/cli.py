@@ -7,9 +7,9 @@ Commands:
   efficiency  hover efficiency sweep
 
 Exit codes: 0 success, 1 usage error, 2 configuration error,
-3 numerical failure (a diverged simulate run still writes its partial
-log). All outputs are deterministic: re-running a command reproduces
-byte-identical files.
+3 numerical failure (a diverged simulate run, or one whose tracking
+summary is not finite, still writes its log). All outputs are
+deterministic: re-running a command reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def _build_parser():
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -120,8 +120,14 @@ def _cmd_simulate(args, cfg, out_dir):
         print(f"omnidyn: numerical failure: {exc}; partial log in {log_path}", file=sys.stderr)
         return 3
     log.to_csv(log_path)
-    summary = tracking_summary(log)
-    _write_json(os.path.join(out_dir, f"{name}_summary.json"), summary.as_dict())
+    # Finite states can still overflow the error norms of a diverged run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = tracking_summary(log).as_dict()
+    if not np.all(np.isfinite(list(summary.values()))):
+        print(f"omnidyn: numerical failure: tracking summary is not finite; log in {log_path}",
+              file=sys.stderr)
+        return 3
+    _write_json(os.path.join(out_dir, f"{name}_summary.json"), summary)
     return 0
 
 

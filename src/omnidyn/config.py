@@ -94,14 +94,23 @@ def _check_keys(block_name, block, allowed):
         raise ConfigError(f"unknown key(s) in '{block_name}': {sorted(unknown)}")
 
 
+def _block(raw, name, allowed):
+    """A copy of the parameter block `name` ({} when absent), checked to be
+    an object with known keys."""
+    block = raw.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{name}' must be a JSON object")
+    _check_keys(name, block, allowed)
+    return dict(block)
+
+
 def _build(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level configuration must be a JSON object")
     _check_keys("<top level>", raw, {"vehicle", "gains", "singularity", "sim", "n_dirs", "sources"})
 
-    v = dict(raw.get("vehicle", {}))
-    _check_keys("vehicle", v, {"m", "J_diag", "x_com", "l_x", "c_f", "c_d",
-                               "Omega_max", "alpha_dot_max", "g"})
+    v = _block(raw, "vehicle", {"m", "J_diag", "x_com", "l_x", "c_f", "c_d",
+                                "Omega_max", "alpha_dot_max", "g"})
     vehicle_kwargs = {}
     if "J_diag" in v:
         vehicle_kwargs["J_b"] = np.diag(np.asarray(v.pop("J_diag"), dtype=float))
@@ -111,11 +120,8 @@ def _build(raw) -> RunConfig:
         vehicle_kwargs["x_com"] = np.asarray(v.pop("x_com"), dtype=float)
     vehicle_kwargs.update({k: float(val) for k, val in v.items()})
 
-    g = dict(raw.get("gains", {}))
-    _check_keys("gains", g, {"k_p", "k_v", "k_R", "k_omega"})
-
-    s = dict(raw.get("singularity", {}))
-    _check_keys("singularity", s, {"phi_0_deg", "phi_d_deg", "phi_t_deg", "c_t_deg", "omega_u"})
+    g = _block(raw, "gains", {"k_p", "k_v", "k_R", "k_omega"})
+    s = _block(raw, "singularity", {"phi_0_deg", "phi_d_deg", "phi_t_deg", "c_t_deg", "omega_u"})
     sing_kwargs = {}
     for deg_key, rad_key in (("phi_0_deg", "phi_0"), ("phi_d_deg", "phi_d"),
                              ("phi_t_deg", "phi_t"), ("c_t_deg", "c_t")):
@@ -124,8 +130,7 @@ def _build(raw) -> RunConfig:
     if "omega_u" in s:
         sing_kwargs["omega_u"] = float(s["omega_u"])
 
-    sim = dict(raw.get("sim", {}))
-    _check_keys("sim", sim, {"dt_physics", "dt_control"})
+    sim = _block(raw, "sim", {"dt_physics", "dt_control"})
 
     n_dirs = raw.get("n_dirs", 2000)
     if isinstance(n_dirs, bool) or not isinstance(n_dirs, int):

@@ -8,7 +8,7 @@ deterministic: no randomness, no wall-clock dependence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -167,14 +167,7 @@ class TrackingSummary:
     min_eta_f: float
 
     def as_dict(self):
-        return {
-            "max_pos_err_m": self.max_pos_err_m,
-            "rms_pos_err_m": self.rms_pos_err_m,
-            "max_att_err_deg": self.max_att_err_deg,
-            "rms_att_err_deg": self.rms_att_err_deg,
-            "max_tilt_rate_rad_s": self.max_tilt_rate_rad_s,
-            "min_eta_f": self.min_eta_f,
-        }
+        return asdict(self)
 
 
 def tracking_summary(log: SimLog) -> TrackingSummary:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mathcore import angle_between
-from .vehicle import ARM, VehicleParams, build_A_alpha, rotor_columns
+from .vehicle import ARM, VehicleParams, build_A_alpha
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -87,8 +87,7 @@ def arm_alignment(F_dir, arm_index, params: VehicleParams):
     either end counts, so the result lies in [0, pi/2]. An array of arm
     indices gives one angle per arm.
     """
-    g = params.gamma[arm_index]
-    axis = np.stack([np.cos(g), np.sin(g), np.zeros_like(g)], axis=-1)
+    axis = params.arm_axes[arm_index]
     return np.minimum(angle_between(F_dir, axis), angle_between(F_dir, -axis))
 
 
@@ -133,8 +132,7 @@ def derivative_allocation(params: VehicleParams, alpha, Omega):
     """
     alpha = np.asarray(alpha, dtype=float)
     Omega = np.asarray(Omega, dtype=float)
-    sin_cols, cos_cols = rotor_columns(params)
-    dA = sin_cols * np.cos(alpha[ARM]) - cos_cols * np.sin(alpha[ARM])
+    dA = params.sin_cols * np.cos(alpha[ARM]) - params.cos_cols * np.sin(alpha[ARM])
     # Columns j and j + 6 belong to arm j: sum each arm's rotor pair.
     B = (dA * Omega).reshape(6, 2, 6).sum(axis=1)
     return np.hstack([build_A_alpha(params, alpha), B])

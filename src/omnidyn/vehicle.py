@@ -47,6 +47,13 @@ class VehicleParams:
     Omega_max: float = 1.0e6
     alpha_dot_max: float = 6.0
     g_mag: float = 9.81
+    # Derived in __post_init__: rotor_columns, the fixed 6x24 allocation matrix
+    # (layout in omnidyn.allocation), its pseudo-inverse, the unit arm axes.
+    sin_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    cos_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    A: np.ndarray = field(init=False, repr=False, compare=False)
+    A_pinv: np.ndarray = field(init=False, repr=False, compare=False)
+    arm_axes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.J_b = np.asarray(self.J_b, dtype=float)
@@ -76,18 +83,20 @@ class VehicleParams:
         for name in ("c_f", "c_d", "l_x", "Omega_max", "alpha_dot_max", "g_mag"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        # The sin and cos columns side by side are a column permutation of
-        # allocation.build_A: same rank, same pseudo-inverse up to row order.
-        # Extreme coefficients overflow the matrix or its inverse; the checks
-        # report that as a bad parameter instead of a numpy warning.
+        # Extreme coefficients overflow the allocation matrix or its inverse;
+        # the checks report that as a bad parameter, not a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            A = np.hstack(rotor_columns(self))
-            if not np.all(np.isfinite(A)):
+            sin_cols, cos_cols = self.sin_cols, self.cos_cols = rotor_columns(self)
+            blocks = (sin_cols[:, :6], cos_cols[:, :6], sin_cols[:, 6:], cos_cols[:, 6:])
+            self.A = np.stack(blocks, axis=2).reshape(6, 24)
+            if not np.all(np.isfinite(self.A)):
                 raise ValueError("allocation matrix is not finite")
-            if np.linalg.matrix_rank(A) < 6:
+            if np.linalg.matrix_rank(self.A) < 6:
                 raise ValueError("allocation matrix is rank deficient")
-            if not np.all(np.isfinite(np.linalg.pinv(A))):
+            self.A_pinv = np.linalg.pinv(self.A)
+            if not np.all(np.isfinite(self.A_pinv)):
                 raise ValueError("allocation matrix has no finite pseudo-inverse")
+        self.arm_axes = np.stack([np.cos(self.gamma), np.sin(self.gamma), np.zeros(6)], axis=-1)
 
 
 @dataclass
@@ -147,8 +156,7 @@ def rotor_columns(params: VehicleParams):
 def build_A_alpha(params: VehicleParams, alpha):
     """Instantaneous 6x12 allocation matrix at tilt angles alpha."""
     alpha = np.asarray(alpha, dtype=float)[ARM]
-    sin_cols, cos_cols = rotor_columns(params)
-    return sin_cols * np.sin(alpha) + cos_cols * np.cos(alpha)
+    return params.sin_cols * np.sin(alpha) + params.cos_cols * np.cos(alpha)
 
 
 def rigid_body_derivative(x, v, R, omega_b, wrench: Wrench, params: VehicleParams):

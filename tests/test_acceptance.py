@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 
 from omnidyn.allocation import (
     Allocator,
-    build_A,
     build_A_alpha,
     extract_rotor_speeds,
     extract_tilt_angles,
@@ -160,7 +159,7 @@ def test_criterion_2_derivative_allocation(acceptance_report):
 
 
 def test_criterion_3_hover_exactness(acceptance_report):
-    A = build_A(PARAMS)
+    A = PARAMS.A
     w = np.array([0.0, 0.0, PARAMS.m * PARAMS.g_mag, 0.0, 0.0, 0.0])
     u = pseudo_inverse_allocate(w, A)
     alpha = extract_tilt_angles(u, np.zeros(6))

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from omnidyn.allocation import (
     Allocator,
-    build_A,
     build_A_alpha,
     extract_rotor_speeds,
     extract_tilt_angles,
@@ -38,7 +37,7 @@ def wrench_oracle(params, alpha, Omega):
 
 
 def embed(alpha, Omega):
-    """Stack (sin, cos) products in the u layout used by build_A."""
+    """Stack (sin, cos) products in the u layout of VehicleParams.A."""
     u = np.empty(24)
     for i in range(6):
         sa, ca = np.sin(alpha[i]), np.cos(alpha[i])
@@ -50,14 +49,14 @@ def embed(alpha, Omega):
 
 
 def test_build_A_shape_and_rank():
-    A = build_A(VehicleParams())
+    A = VehicleParams().A
     assert A.shape == (6, 24)
     assert np.linalg.matrix_rank(A) == 6
 
 
 def test_build_A_matches_physical_oracle():
     p = VehicleParams()
-    A = build_A(p)
+    A = p.A
     rng = np.random.default_rng(10)
     for _ in range(50):
         alpha = rng.uniform(-np.pi, np.pi, 6)
@@ -68,7 +67,7 @@ def test_build_A_matches_physical_oracle():
 
 def test_build_A_alpha_consistent_with_build_A():
     p = VehicleParams()
-    A = build_A(p)
+    A = p.A
     rng = np.random.default_rng(11)
     for _ in range(20):
         alpha = rng.uniform(-np.pi, np.pi, 6)
@@ -88,7 +87,7 @@ def test_build_A_alpha_zero_tilt_is_cos_only():
 
 def test_pseudo_inverse_allocate_solves_and_minimizes_norm():
     p = VehicleParams()
-    A = build_A(p)
+    A = p.A
     rng = np.random.default_rng(12)
     null_basis = [v for v in np.linalg.svd(A)[2][6:]]
     for _ in range(30):

@@ -69,7 +69,7 @@ def test_static_allocation_hover():
     alpha, Omega, u = static_allocation(w, alc)
     assert_allclose(alpha, 0.0, atol=1e-12)
     assert_allclose(Omega, p.m * p.g_mag / (12.0 * p.c_f), rtol=1e-12)
-    assert_allclose(alc.A @ u, w, atol=1e-9)
+    assert_allclose(p.A @ u, w, atol=1e-9)
 
 
 def test_static_allocation_biased_adds_offsets():

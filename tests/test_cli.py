@@ -77,6 +77,9 @@ def test_bad_config_is_config_error(tmp_path):
     '{"vehicle": {"c_f": 1e10, "l_x": 1e300}}',     # allocation matrix overflows
     '{"vehicle": {"m": 1e-320}}',                   # subnormal: m * g underflows
     '{"vehicle": {"J_diag": [1e-320, 0.08, 0.14]}}',  # subnormal principal inertia
+    '{"vehicle": [["m", 3.5]]}',                    # blocks must be objects, not pair lists
+    '{"gains": []}',
+    '{"sim": [["dt_control", 0.01]]}',
 ])
 def test_non_finite_or_misshaped_config_is_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.json"
@@ -116,6 +119,17 @@ def test_diverged_run_keeps_its_partial_log(tmp_path, capsys, monkeypatch):
     header, rows = read_csv(tmp_path / "hover_log.csv")
     assert header == log_column_names()
     assert rows.shape[0] == 2
+
+
+def test_non_finite_summary_is_numerical_failure(tmp_path, capsys):
+    # A tiny normal mass passes validation; the position error then
+    # overflows the summary norms while every state stays finite.
+    cfg = tmp_path / "light.json"
+    cfg.write_text('{"vehicle": {"m": 1e-300}}')
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--experiment", "hover", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["hover_log.csv"]
 
 
 def test_missing_config_file_is_config_error(tmp_path):

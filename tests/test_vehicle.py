@@ -1,14 +1,25 @@
 """Tests for the vehicle model: parameters, rotor geometry, rigid-body integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from omnidyn import vehicle
+from omnidyn.allocation import Allocator
+from omnidyn.analysis import condition_map, hover_sweep
+from omnidyn.controller import Gains
 from omnidyn.mathcore import is_rotation, orthonormalize, rotation_from_axis_angle
+from omnidyn.simulation import SimConfig, simulate
+from omnidyn.singularity import SingularityParams, derivative_allocation
+from omnidyn.trajectories import make_hover
 from omnidyn.vehicle import (
+    ARM,
     RigidBodyState,
     VehicleParams,
     Wrench,
+    build_A_alpha,
     integrate_step,
     rigid_body_derivative,
     rotor_columns,
@@ -64,6 +75,52 @@ def test_rotor_columns_against_vector_oracle():
         assert_allclose(cos_cols[3:, j], np.cross(r, f_cos) - p.s[j] * p.c_d * f_cos, atol=1e-18)
         assert_allclose(sin_cols[:3, j], f_sin, atol=1e-18)
         assert_allclose(sin_cols[3:, j], np.cross(r, f_sin) - p.s[j] * p.c_d * f_sin, atol=1e-18)
+
+
+def test_allocation_geometry_is_built_once(monkeypatch):
+    """VehicleParams builds the rotor columns and the pseudo-inverse once;
+    the allocator, the closed loop, the sweeps and the rate-level matrix
+    reuse them, and a replaced vehicle derives its own."""
+    calls = {"rotor_columns": 0, "pinv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    columns, pinv = vehicle.rotor_columns, np.linalg.pinv
+    monkeypatch.setattr(vehicle, "rotor_columns", counted("rotor_columns", columns))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
+    p = VehicleParams()
+    assert calls == {"rotor_columns": 1, "pinv": 1}
+    Allocator(p)
+    simulate(make_hover(), p, Gains(), SingularityParams(), SimConfig(duration=0.05))
+    condition_map(p, 20, SingularityParams())
+    hover_sweep(p, 20)
+    derivative_allocation(p, np.full(6, 0.3), np.full(12, 1.0e5))
+    assert calls == {"rotor_columns": 1, "pinv": 1}
+
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        s_upper = rng.choice([-1.0, 1.0], 6)
+        q = VehicleParams(l_x=rng.uniform(0.1, 0.5), c_f=rng.uniform(5e-6, 2e-5),
+                          c_d=rng.uniform(0.005, 0.03), gamma=rng.uniform(-np.pi, np.pi, 6),
+                          s=np.concatenate([s_upper, -s_upper]))
+        sin_cols, cos_cols = columns(q)
+        assert np.array_equal(q.sin_cols, sin_cols) and np.array_equal(q.cos_cols, cos_cols)
+        # Arm i owns columns 4i..4i+3: sin upper, cos upper, sin lower, cos lower.
+        for k, cols in enumerate((sin_cols[:, :6], cos_cols[:, :6], sin_cols[:, 6:], cos_cols[:, 6:])):
+            assert np.array_equal(q.A[:, k::4], cols)
+        assert np.array_equal(q.A_pinv, pinv(q.A))
+        assert np.array_equal(q.arm_axes, np.column_stack([np.cos(q.gamma), np.sin(q.gamma), np.zeros(6)]))
+        alpha = rng.uniform(-np.pi, np.pi, 6)
+        expected = sin_cols * np.sin(alpha[ARM]) + cos_cols * np.cos(alpha[ARM])
+        assert np.array_equal(build_A_alpha(q, alpha), expected)
+
+    shorter = dataclasses.replace(p, l_x=0.25)
+    assert not np.array_equal(shorter.A, p.A)
+    assert np.array_equal(shorter.A_pinv, VehicleParams(l_x=0.25).A_pinv)
 
 
 def test_state_rejects_non_finite():

@@ -2,9 +2,12 @@
 
 Runs, in-process through `omnidyn.cli.main` and with default configuration,
 `envelope`, `condmap`, `condmap --biased` and `efficiency` at 400 directions
-and `simulate` for each of the six experiments, each into its own
-subdirectory of OUT_DIR. Then prints one sorted `sha256  path` line per
-file, with paths relative to OUT_DIR.
+and `simulate` for each of the six experiments. Then, with a non-default
+vehicle written to OUT_DIR/vehicle.json, runs `envelope`, `condmap --biased`
+and `simulate --experiment singular-translation`, so that the path from a
+config file to the vehicle's derived allocation geometry is checked too.
+Each run writes into its own subdirectory of OUT_DIR. Then prints one
+sorted `sha256  path` line per file, with paths relative to OUT_DIR.
 
 The omnidyn on the import path is the one measured, so two commits compare as
 
@@ -18,6 +21,7 @@ An empty diff means the change left every output byte as it was.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -31,6 +35,12 @@ RUNS = (
     ("efficiency", ["efficiency", "--n-dirs", N_DIRS]),
     *((f"simulate-{name}", ["simulate", "--experiment", name]) for name in cli.EXPERIMENTS),
 )
+VEHICLE = {"vehicle": {"m": 3.5, "l_x": 0.25, "c_f": 1.2e-5, "x_com": [0.005, 0.0, 0.0]}}
+VEHICLE_RUNS = (
+    ("vehicle-envelope", ["envelope", "--n-dirs", N_DIRS]),
+    ("vehicle-condmap-biased", ["condmap", "--biased", "--n-dirs", N_DIRS]),
+    ("vehicle-simulate-singular-translation", ["simulate", "--experiment", "singular-translation"]),
+)
 
 
 def main(argv=None) -> int:
@@ -39,7 +49,11 @@ def main(argv=None) -> int:
         print("usage: cli_fingerprint.py OUT_DIR", file=sys.stderr)
         return 1
     out = Path(argv[0])
-    for name, args in RUNS:
+    out.mkdir(parents=True, exist_ok=True)
+    config = out / "vehicle.json"
+    config.write_text(json.dumps(VEHICLE, sort_keys=True) + "\n")
+    runs = [*RUNS, *((name, [*args, "--config", str(config)]) for name, args in VEHICLE_RUNS)]
+    for name, args in runs:
         status = cli.main([*args, "--out", str(out / name)])
         if status != 0:
             print(f"cli_fingerprint: `{' '.join(args)}` exited {status}", file=sys.stderr)
