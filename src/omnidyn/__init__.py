@@ -7,7 +7,6 @@ from .allocation import (
     build_A_alpha,
     extract_rotor_speeds,
     extract_tilt_angles,
-    pseudo_inverse_allocate,
 )
 from .analysis import (
     condition_map,

@@ -35,13 +35,7 @@ from .vehicle import VehicleParams, build_A_alpha, rotor_columns
 # Pair magnitudes below this fraction of the largest arm's are treated as
 # zero in the tilt-angle extraction (the angle is no longer informative).
 DEGENERATE_REL_TOL = 1e-9
-
-
-def pseudo_inverse_allocate(w_des, A):
-    """Minimum-norm u with A @ u = w_des, via the Moore-Penrose inverse."""
-    if np.linalg.matrix_rank(A) < 6:
-        raise ValueError("allocation matrix is rank deficient")
-    return np.linalg.pinv(A) @ np.asarray(w_des, dtype=float)
+ARMS = np.arange(6)
 
 
 def extract_tilt_angles(u, alpha_prev):
@@ -55,7 +49,7 @@ def extract_tilt_angles(u, alpha_prev):
     S = u[0::4] + u[2::4]
     C = u[1::4] + u[3::4]
     mag = np.hypot(S, C)
-    thr = DEGENERATE_REL_TOL * np.max(mag)
+    thr = DEGENERATE_REL_TOL * mag.max()
     alpha_des = np.arctan2(S, C)
     hold = mag <= thr
     return np.where(hold, alpha_prev, alpha_des)
@@ -72,7 +66,8 @@ def extract_rotor_speeds(u, alpha, params: VehicleParams):
     alpha = np.asarray(alpha, dtype=float)[:, None]
     # Rows are arms, columns upper and lower rotor; transposed to rotor order.
     Omega = (np.sin(alpha) * u[:, 0::2] + np.cos(alpha) * u[:, 1::2]).T.ravel()
-    return np.clip(Omega, 0.0, params.Omega_max)
+    # ndarray.clip, like np.clip, keeps a -0.0 projection as -0.0.
+    return Omega.clip(0.0, params.Omega_max)
 
 
 @dataclass
@@ -117,11 +112,11 @@ class Allocator:
             F_dir = F / F_norm
             k_t = tilt_bias_multiplier(z_misalignment(F_dir), sp)
             delta = apply_tilt_bias(delta, k_t, sp)
-            k_alpha = damping_multiplier(arm_alignment(F_dir, np.arange(6), params), sp)
+            k_alpha = damping_multiplier(arm_alignment(F_dir, ARMS, params), sp)
             delta = apply_damping_and_unwind(delta, k_alpha, alpha_prev, sp, dt)
 
         limit = params.alpha_dot_max * dt
-        alpha_cmd = alpha_prev + np.clip(delta, -limit, limit)
+        alpha_cmd = alpha_prev + delta.clip(-limit, limit)
         Omega_cmd = extract_rotor_speeds(u, alpha_cmd, params)
         return ActuatorCommand(alpha_cmd=alpha_cmd, Omega_cmd=Omega_cmd,
                                alpha_des=alpha_des, k_t=k_t, k_alpha=k_alpha)

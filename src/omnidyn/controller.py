@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import vee
+from .mathcore import cross, vee
 from .vehicle import RigidBodyState, VehicleParams, Wrench
 
 
@@ -87,9 +87,9 @@ def control_wrench(errors: ControlErrors, state: RigidBodyState,
     """
     g_vec = np.array([0.0, 0.0, params.g_mag])
     a_cmd = -gains.k_p * errors.e_p - gains.k_v * errors.e_v + sp.a_sp + g_vec
-    F_d = params.m * (state.R.T @ a_cmd + np.cross(state.omega_b, state.R.T @ state.v))
-    J = np.diag(params.J_b)
+    F_d = params.m * (state.R.T @ a_cmd + cross(state.omega_b, state.R.T @ state.v))
+    J = params.J_b.diagonal()
     tau_d = (params.J_b @ (-gains.k_R * errors.e_R - gains.k_omega * errors.e_omega)
-             + np.cross(state.omega_b, J * state.omega_b)
-             + np.cross(params.x_com, F_d))
+             + cross(state.omega_b, J * state.omega_b)
+             + cross(params.x_com, F_d))
     return Wrench(F=F_d, tau=tau_d)

@@ -14,20 +14,32 @@ ORTHO_TOL = 1e-9
 
 def hat(v):
     """Skew-symmetric matrix M of a 3-vector, with M @ w == cross(v, w)."""
-    v = np.asarray(v, dtype=float)
+    v0, v1, v2 = np.asarray(v, dtype=float).tolist()
     return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
+        [0.0, -v2, v1],
+        [v2, 0.0, -v0],
+        [-v1, v0, 0.0],
     ])
 
 
 def vee(M):
     """Inverse of hat. Rejects matrices that are not skew-symmetric."""
     M = np.asarray(M, dtype=float)
-    if np.max(np.abs(M + M.T)) > SKEW_TOL:
+    if np.abs(M + M.T).max() > SKEW_TOL:
         raise ValueError("vee: input is not skew-symmetric")
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
+
+
+def cross(a, b):
+    """Cross product of two 3-vectors.
+
+    Forms the same products and differences as the 3-vector branch of
+    np.cross (first component a1*b2 - a2*b1), so the result is bit for
+    bit np.cross(a, b), without its axis handling.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def rotation_from_axis_angle(axis, angle):
@@ -51,9 +63,9 @@ def angle_between(a, b):
     b = np.asarray(b, dtype=float)
     na = np.sqrt(np.vecdot(a, a))
     nb = np.sqrt(np.vecdot(b, b))
-    if na == 0.0 or np.any(nb == 0.0):
+    if na == 0.0 or (nb == 0.0).any():
         raise ValueError("angle_between: zero-length vector has no direction")
-    return np.arccos(np.clip(np.vecdot(b, a) / (na * nb), -1.0, 1.0))
+    return np.arccos((np.vecdot(b, a) / (na * nb)).clip(-1.0, 1.0))
 
 
 def wrap_angle(theta):
@@ -77,7 +89,9 @@ def orthonormalize(R):
     """Nearest rotation matrix (polar decomposition via SVD)."""
     U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
     D = U @ Vt
-    if np.linalg.det(D) < 0.0:
+    # D is orthogonal, so its determinant is +/-1 and the sign of the
+    # triple product (row 0) . (row 1 x row 2) is the sign of det(D).
+    if D[0] @ cross(D[1], D[2]) < 0.0:
         U = U.copy()
         U[:, -1] = -U[:, -1]
         D = U @ Vt
@@ -87,7 +101,7 @@ def orthonormalize(R):
 def rotation_to_quat(R):
     """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0."""
     R = np.asarray(R, dtype=float)
-    t = np.trace(R)
+    t = R.trace()
     if t > 0.0:
         s = np.sqrt(t + 1.0) * 2.0
         q = np.array([0.25 * s,
@@ -95,7 +109,7 @@ def rotation_to_quat(R):
                       (R[0, 2] - R[2, 0]) / s,
                       (R[1, 0] - R[0, 1]) / s])
     else:
-        i = int(np.argmax(np.diag(R)))
+        i = int(R.diagonal().argmax())
         j, k = (i + 1) % 3, (i + 2) % 3
         s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
         q = np.empty(4)

@@ -132,7 +132,7 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
         A_alpha = build_A_alpha(params, alpha)
         realized = A_alpha @ cmd.Omega_cmd
         thrusts = params.c_f * cmd.Omega_cmd
-        thrust_sum = float(np.sum(thrusts))
+        thrust_sum = float(thrusts.sum())
         eta_f = float(np.linalg.norm(realized[:3]) / thrust_sum) if thrust_sum > 0.0 else 0.0
 
         rows[k] = np.concatenate([

@@ -99,7 +99,7 @@ def damping_multiplier(eta, params: SingularityParams):
     angle came alone or in an array.
     """
     ramp = 1.0 - (np.asarray(eta) - params.phi_0) / (params.phi_d - params.phi_0)
-    return np.float_power(np.clip(ramp, 0.0, 1.0), 2.0)
+    return np.float_power(ramp.clip(0.0, 1.0), 2.0)
 
 
 def apply_damping_and_unwind(delta_alpha_tilde, k_alpha, alpha_prev, params: SingularityParams, dt):

@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import hat, orthonormalize
+from .mathcore import cross, hat, orthonormalize
 
 # Rotor j sits on arm j % 6: upper rotors 0-5, lower rotors 6-11.
 ARM = np.arange(12) % 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class VehicleParams:
     """Physical parameters of the vehicle.
 
@@ -56,10 +56,9 @@ class VehicleParams:
     arm_axes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.J_b = np.asarray(self.J_b, dtype=float)
-        self.x_com = np.asarray(self.x_com, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.s = np.asarray(self.s, dtype=float)
+        # Frozen: fields are set here once, so the derived ones never go stale.
+        for name in ("J_b", "x_com", "gamma", "s"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         scalars = [self.m, self.l_x, self.c_f, self.c_d, self.Omega_max, self.alpha_dot_max, self.g_mag]
         if not all(np.all(np.isfinite(a)) for a in (scalars, self.J_b, self.x_com, self.gamma)):
             raise ValueError("vehicle parameters must be finite")
@@ -86,17 +85,20 @@ class VehicleParams:
         # Extreme coefficients overflow the allocation matrix or its inverse;
         # the checks report that as a bad parameter, not a numpy warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            sin_cols, cos_cols = self.sin_cols, self.cos_cols = rotor_columns(self)
+            sin_cols, cos_cols = rotor_columns(self)
             blocks = (sin_cols[:, :6], cos_cols[:, :6], sin_cols[:, 6:], cos_cols[:, 6:])
-            self.A = np.stack(blocks, axis=2).reshape(6, 24)
-            if not np.all(np.isfinite(self.A)):
+            A = np.stack(blocks, axis=2).reshape(6, 24)
+            if not np.all(np.isfinite(A)):
                 raise ValueError("allocation matrix is not finite")
-            if np.linalg.matrix_rank(self.A) < 6:
+            if np.linalg.matrix_rank(A) < 6:
                 raise ValueError("allocation matrix is rank deficient")
-            self.A_pinv = np.linalg.pinv(self.A)
-            if not np.all(np.isfinite(self.A_pinv)):
+            A_pinv = np.linalg.pinv(A)
+            if not np.all(np.isfinite(A_pinv)):
                 raise ValueError("allocation matrix has no finite pseudo-inverse")
-        self.arm_axes = np.stack([np.cos(self.gamma), np.sin(self.gamma), np.zeros(6)], axis=-1)
+        arm_axes = np.stack([np.cos(self.gamma), np.sin(self.gamma), np.zeros(6)], axis=-1)
+        for name, value in (("sin_cols", sin_cols), ("cos_cols", cos_cols), ("A", A),
+                            ("A_pinv", A_pinv), ("arm_axes", arm_axes)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -113,8 +115,9 @@ class RigidBodyState:
         self.v = np.asarray(self.v, dtype=float)
         self.R = np.asarray(self.R, dtype=float)
         self.omega_b = np.asarray(self.omega_b, dtype=float)
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.v))
-                and np.all(np.isfinite(self.R)) and np.all(np.isfinite(self.omega_b))):
+        if not (self.x.shape == self.v.shape == self.omega_b.shape == (3,) and self.R.shape == (3, 3)):
+            raise ValueError("state needs x, v, omega_b of shape (3,) and R of shape (3, 3)")
+        if not np.isfinite(np.concatenate([self.x, self.v, self.R.ravel(), self.omega_b])).all():
             raise ValueError("state contains non-finite values")
 
 
@@ -168,8 +171,8 @@ def rigid_body_derivative(x, v, R, omega_b, wrench: Wrench, params: VehicleParam
     x_dot = v
     v_dot = (R @ wrench.F) / params.m - np.array([0.0, 0.0, params.g_mag])
     R_dot = R @ hat(omega_b)
-    J = np.diag(params.J_b)
-    omega_dot = (wrench.tau - np.cross(omega_b, J * omega_b)) / J
+    J = params.J_b.diagonal()
+    omega_dot = (wrench.tau - cross(omega_b, J * omega_b)) / J
     return x_dot, v_dot, R_dot, omega_dot
 
 
@@ -194,6 +197,6 @@ def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehiclePar
     k4 = deriv(y0 + dt * k3)
     y = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise RuntimeError("integration step produced non-finite state")
     return RigidBodyState(x=y[:3], v=y[3:6], R=orthonormalize(y[6:15].reshape(3, 3)), omega_b=y[15:])

@@ -18,7 +18,6 @@ from omnidyn.allocation import (
     build_A_alpha,
     extract_rotor_speeds,
     extract_tilt_angles,
-    pseudo_inverse_allocate,
 )
 from omnidyn.analysis import (
     condition_map,
@@ -159,9 +158,8 @@ def test_criterion_2_derivative_allocation(acceptance_report):
 
 
 def test_criterion_3_hover_exactness(acceptance_report):
-    A = PARAMS.A
     w = np.array([0.0, 0.0, PARAMS.m * PARAMS.g_mag, 0.0, 0.0, 0.0])
-    u = pseudo_inverse_allocate(w, A)
+    u = PARAMS.A_pinv @ w
     alpha = extract_tilt_angles(u, np.zeros(6))
     Omega = extract_rotor_speeds(u, alpha, PARAMS)
     Omega_h = PARAMS.m * PARAMS.g_mag / (12.0 * PARAMS.c_f)

@@ -9,7 +9,6 @@ from omnidyn.allocation import (
     build_A_alpha,
     extract_rotor_speeds,
     extract_tilt_angles,
-    pseudo_inverse_allocate,
 )
 from omnidyn.singularity import SingularityParams, arm_alignment, z_misalignment
 from omnidyn.vehicle import VehicleParams
@@ -92,16 +91,11 @@ def test_pseudo_inverse_allocate_solves_and_minimizes_norm():
     null_basis = [v for v in np.linalg.svd(A)[2][6:]]
     for _ in range(30):
         w = rng.normal(size=6)
-        u = pseudo_inverse_allocate(w, A)
+        u = p.A_pinv @ w
         assert_allclose(A @ u, w, rtol=1e-9, atol=1e-12)
         # minimum norm: orthogonal to the null space of A
         for v in null_basis:
             assert abs(np.dot(u, v)) < 1e-9 * max(1.0, np.linalg.norm(u))
-
-
-def test_pseudo_inverse_allocate_rejects_deficient_matrix():
-    with pytest.raises(ValueError):
-        pseudo_inverse_allocate(np.zeros(6), np.zeros((6, 24)))
 
 
 def test_extract_tilt_angles_recovers_known_angles():
@@ -138,6 +132,14 @@ def test_extract_rotor_speeds_projection_and_clamps():
     # magnitudes above Omega_max clamp
     big = embed(np.zeros(6), np.full(12, 2.0 * p.Omega_max))
     assert_allclose(extract_rotor_speeds(big, np.zeros(6), p), p.Omega_max)
+
+
+def test_extract_rotor_speeds_keeps_negative_zero():
+    """A -0.0 projection stays -0.0 through the clamp (np.clip keeps the
+    sign bit; np.minimum(np.maximum(...)) would turn it into 0.0), and the
+    closed loop writes these speeds to its log."""
+    out = extract_rotor_speeds(np.full(24, -0.0), np.zeros(6), VehicleParams())
+    assert out.tobytes() == np.full(12, -0.0).tobytes()
 
 
 def test_allocator_hover_is_exact_and_uniform():

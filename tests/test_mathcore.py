@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from omnidyn.mathcore import (
     angle_between,
+    cross,
     hat,
     is_rotation,
     orthonormalize,
@@ -39,6 +40,22 @@ def test_hat_is_skew():
     M = hat(v)
     assert_allclose(M, -M.T)
     assert_allclose(np.diag(M), 0.0)
+
+
+def test_cross_is_np_cross_bit_for_bit():
+    """Same bytes as np.cross, signed zeros, overflow to inf and inf - inf
+    included; magnitudes span 1e-300 to 1e300."""
+    rng = np.random.default_rng(30)
+    n = 20_000
+    a, b = (rng.choice([-1.0, 1.0], (n, 3)) * 10.0 ** rng.uniform(-300, 300, (n, 3)) for _ in range(2))
+    for v in (a, b):
+        v[rng.random((n, 3)) < 0.2] = 0.0
+        v[rng.random((n, 3)) < 0.2] = -0.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        expected = np.cross(a, b)
+        got = np.array([cross(ai, bi) for ai, bi in zip(a, b)])
+    assert got.tobytes() == expected.tobytes()
+    assert np.signbit(got[got == 0.0]).any() and np.isinf(got).any()
 
 
 def test_vee_inverts_hat():
@@ -145,6 +162,31 @@ def test_orthonormalize_recovers_perturbed_rotation():
 def test_orthonormalize_fixes_negative_determinant():
     D = orthonormalize(np.diag([1.0, 1.0, -1.0]))
     assert is_rotation(D)
+
+
+def test_orthonormalize_matches_det_formula_bit_for_bit():
+    """The triple-product sign picks the same branch as np.linalg.det on
+    near-rotations, near-reflections and arbitrary matrices."""
+
+    def polar_with_det(M):
+        U, _, Vt = np.linalg.svd(M)
+        D = U @ Vt
+        if np.linalg.det(D) < 0.0:
+            U = U.copy()
+            U[:, -1] = -U[:, -1]
+            D = U @ Vt
+        return D
+
+    rng = np.random.default_rng(31)
+    flip = np.diag([1.0, 1.0, -1.0])
+    reflections = 0
+    for k in range(3000):
+        axis = rng.normal(size=3)
+        R = rotation_from_axis_angle(axis / np.linalg.norm(axis), rng.uniform(-np.pi, np.pi))
+        M = [R, R @ flip, rng.normal(size=(3, 3))][k % 3] + 10.0 ** rng.uniform(-12, -1) * rng.normal(size=(3, 3))
+        reflections += np.linalg.det(M) < 0.0
+        assert orthonormalize(M).tobytes() == polar_with_det(M).tobytes()
+    assert reflections > 1000
 
 
 def test_rotation_to_quat_identity_and_sign():

@@ -49,10 +49,22 @@ def test_default_params_values():
     dict(Omega_max=-5.0),
     dict(s=np.ones(12)),            # lower rotors must counter-rotate
     dict(s=np.full(12, 2.0)),       # entries must be +/-1
+    dict(gamma=np.zeros(6)),        # all arms on one line: A is rank deficient
 ])
 def test_params_validation_rejects(bad):
     with pytest.raises(ValueError):
         VehicleParams(**bad)
+
+
+def test_params_are_frozen_and_replace_rederives():
+    p = VehicleParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.l_x = 0.25
+    assert p.l_x == 0.3
+    shorter, fresh = dataclasses.replace(p, l_x=0.25), VehicleParams(l_x=0.25)
+    for name in ("sin_cols", "cos_cols", "A", "A_pinv", "arm_axes"):
+        assert np.array_equal(getattr(shorter, name), getattr(fresh, name))
+    assert not np.array_equal(shorter.A, p.A)
 
 
 def test_rotor_columns_against_vector_oracle():
@@ -127,6 +139,18 @@ def test_state_rejects_non_finite():
     with pytest.raises(ValueError):
         RigidBodyState(x=np.array([np.nan, 0.0, 0.0]), v=np.zeros(3),
                        R=np.eye(3), omega_b=np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(R=np.eye(2)),
+    dict(R=np.eye(3).ravel()),
+    dict(x=np.zeros(2)),
+    dict(v=np.zeros((3, 1))),
+    dict(omega_b=np.zeros(4)),
+])
+def test_state_rejects_misshaped(bad):
+    with pytest.raises(ValueError):
+        RigidBodyState(**bad)
 
 
 def test_wrench_vector_round_trip():
