@@ -44,7 +44,6 @@ from .vehicle import (
     VehicleParams,
     Wrench,
     integrate_step,
-    rigid_body_derivative,
     rotor_columns,
 )
 

@@ -108,7 +108,8 @@ class Allocator:
         F = w_des[:3]
         F_norm = np.linalg.norm(F)
         sp = self.sing_params
-        if sp is not None and F_norm >= 1e-6 * params.m * params.g_mag:
+        # A force too small, or one whose norm overflows, has no usable direction.
+        if sp is not None and 1e-6 * params.m * params.g_mag <= F_norm < np.inf:
             F_dir = F / F_norm
             k_t = tilt_bias_multiplier(z_misalignment(F_dir), sp)
             delta = apply_tilt_bias(delta, k_t, sp)

@@ -9,14 +9,19 @@ squared speeds in (rad/s)^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import cross, hat, orthonormalize
+# hat and orthonormalize are bound here so that perfbench/tracer.py can count
+# calls to them from the plant; integrate_step itself uses neither.
+from .mathcore import hat, orthonormalize  # noqa: F401
 
 # Rotor j sits on arm j % 6: upper rotors 0-5, lower rotors 6-11.
 ARM = np.arange(12) % 6
+
+DIVERGED = "integration step produced non-finite state"
 
 
 @dataclass(frozen=True)
@@ -162,41 +167,116 @@ def build_A_alpha(params: VehicleParams, alpha):
     return params.sin_cols * np.sin(alpha) + params.cos_cols * np.cos(alpha)
 
 
-def rigid_body_derivative(x, v, R, omega_b, wrench: Wrench, params: VehicleParams):
-    """Newton-Euler state derivative.
+def _exp_coefficients(t0, t1, t2):
+    """(a, b) with exp(hat(t)) = I + a hat(t) + b hat(t)^2 (Rodrigues).
 
-    The wrench argument is thrust-only and body-framed; gravity acts in
-    the inertial frame. Returns (x_dot, v_dot, R_dot, omega_dot).
+    Raises RuntimeError when |t|^2 is not finite, before math.sin can
+    raise ValueError on an infinite angle.
     """
-    x_dot = v
-    v_dot = (R @ wrench.F) / params.m - np.array([0.0, 0.0, params.g_mag])
-    R_dot = R @ hat(omega_b)
-    J = params.J_b.diagonal()
-    omega_dot = (wrench.tau - cross(omega_b, J * omega_b)) / J
-    return x_dot, v_dot, R_dot, omega_dot
+    n2 = t0 * t0 + t1 * t1 + t2 * t2
+    if not math.isfinite(n2):
+        raise RuntimeError(DIVERGED)
+    if n2 < 1e-12:
+        return 1.0 - n2 / 6.0, 0.5 - n2 / 24.0
+    n = math.sqrt(n2)
+    # b = (1 - cos n) / n^2 in half-angle form, which does not cancel.
+    s = math.sin(0.5 * n) / (0.5 * n)
+    return math.sin(n) / n, 0.5 * s * s
+
+
+def _stage(R, f, g_mag, tau, J, w, t):
+    """One RKMK stage at body rate w and stage rotation R exp(hat(t)).
+
+    Returns the inertial acceleration R exp(hat(t)) f - g e_z, the Lie
+    algebra increment dexp^-1_t(w) truncated after its third term,
+    w + t x w / 2 + t x (t x w) / 12, and the Euler rate
+    J^-1 (tau - w x J w).
+    """
+    t0, t1, t2 = t
+    a, b = _exp_coefficients(t0, t1, t2)
+    f0, f1, f2 = f
+    # exp(hat(t)) f = f + a t x f + b t x (t x f)
+    c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
+    d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+    u0, u1, u2 = f0 + a * c0 + b * d0, f1 + a * c1 + b * d1, f2 + a * c2 + b * d2
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    acc = (r00 * u0 + r01 * u1 + r02 * u2,
+           r10 * u0 + r11 * u1 + r12 * u2,
+           r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
+    w0, w1, w2 = w
+    c0, c1, c2 = t1 * w2 - t2 * w1, t2 * w0 - t0 * w2, t0 * w1 - t1 * w0
+    d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+    K = (w0 + 0.5 * c0 + d0 / 12.0, w1 + 0.5 * c1 + d1 / 12.0, w2 + 0.5 * c2 + d2 / 12.0)
+    J0, J1, J2 = J
+    h0, h1, h2 = J0 * w0, J1 * w1, J2 * w2
+    w_dot = ((tau[0] - (w1 * h2 - w2 * h1)) / J0,
+             (tau[1] - (w2 * h0 - w0 * h2)) / J1,
+             (tau[2] - (w0 * h1 - w1 * h0)) / J2)
+    return acc, K, w_dot
 
 
 def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehicleParams) -> RigidBodyState:
-    """Advance the rigid body by dt with classical RK4 under a held body
-    thrust wrench.
+    """Advance the rigid body by dt under a held body thrust wrench.
 
-    RK4 runs on the packed 18-vector (x, v, R row-major, omega_b). The
-    rotation matrix is re-orthonormalized after the step. Raises
-    RuntimeError if the step produces non-finite values.
+    One fourth-order Runge-Kutta-Munthe-Kaas step (RKMK4) on
+    SO(3) x R^9, in Python floats. omega_b, x and v take classical RK4
+    steps; R becomes R exp(hat(theta)), with theta the RK4 combination of
+    the dexp^-1 stage increments. The stage accelerations use the stage
+    rotations R exp(hat(theta_i)). R stays in SO(3) through the exp map,
+    with no re-orthonormalization. The wrench argument is thrust only;
+    gravity acts along inertial -z. Raises RuntimeError if the step
+    produces non-finite values.
     """
+    x0, x1, x2 = state.x.tolist()
+    v0, v1, v2 = state.v.tolist()
+    w0, w1, w2 = state.omega_b.tolist()
+    R = state.R.tolist()
+    m, g_mag = params.m, params.g_mag
+    F0, F1, F2 = wrench.F.tolist()
+    f = (F0 / m, F1 / m, F2 / m)
+    tau, J = wrench.tau.tolist(), params.J_b.diagonal().tolist()
+    half = 0.5 * dt
 
-    def deriv(y):
-        x_dot, v_dot, R_dot, omega_dot = rigid_body_derivative(
-            y[:3], y[3:6], y[6:15].reshape(3, 3), y[15:], wrench, params)
-        return np.concatenate([x_dot, v_dot, R_dot.ravel(), omega_dot])
+    # Stage i: theta_i = c_i dt K_{i-1}, omega_i = omega + c_i dt k_{i-1},
+    # v_i = v + c_i dt a_{i-1}, with c = (0, 1/2, 1/2, 1).
+    a1, K1, k1 = _stage(R, f, g_mag, tau, J, (w0, w1, w2), (0.0, 0.0, 0.0))
+    a2, K2, k2 = _stage(R, f, g_mag, tau, J, (w0 + half * k1[0], w1 + half * k1[1], w2 + half * k1[2]),
+                        (half * K1[0], half * K1[1], half * K1[2]))
+    a3, K3, k3 = _stage(R, f, g_mag, tau, J, (w0 + half * k2[0], w1 + half * k2[1], w2 + half * k2[2]),
+                        (half * K2[0], half * K2[1], half * K2[2]))
+    a4, K4, k4 = _stage(R, f, g_mag, tau, J, (w0 + dt * k3[0], w1 + dt * k3[1], w2 + dt * k3[2]),
+                        (dt * K3[0], dt * K3[1], dt * K3[2]))
 
-    y0 = np.concatenate([state.x, state.v, state.R.ravel(), state.omega_b])
-    k1 = deriv(y0)
-    k2 = deriv(y0 + 0.5 * dt * k1)
-    k3 = deriv(y0 + 0.5 * dt * k2)
-    k4 = deriv(y0 + dt * k3)
-    y = y0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    sixth = dt / 6.0
+    # x' = v: the stage velocities are v, v + dt/2 a1, v + dt/2 a2, v + dt a3.
+    x_new = (x0 + sixth * (6.0 * v0 + dt * (a1[0] + a2[0] + a3[0])),
+             x1 + sixth * (6.0 * v1 + dt * (a1[1] + a2[1] + a3[1])),
+             x2 + sixth * (6.0 * v2 + dt * (a1[2] + a2[2] + a3[2])))
+    v_new = (v0 + sixth * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
+             v1 + sixth * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
+             v2 + sixth * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]))
+    w_new = (w0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+             w1 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+             w2 + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
+    t0 = sixth * (K1[0] + 2.0 * K2[0] + 2.0 * K3[0] + K4[0])
+    t1 = sixth * (K1[1] + 2.0 * K2[1] + 2.0 * K3[1] + K4[1])
+    t2 = sixth * (K1[2] + 2.0 * K2[2] + 2.0 * K3[2] + K4[2])
 
-    if not np.isfinite(y).all():
-        raise RuntimeError("integration step produced non-finite state")
-    return RigidBodyState(x=y[:3], v=y[3:6], R=orthonormalize(y[6:15].reshape(3, 3)), omega_b=y[15:])
+    a, b = _exp_coefficients(t0, t1, t2)
+    # exp(hat(t)) = I + a hat(t) + b (t t^T - |t|^2 I)
+    s00, s11, s22 = t0 * t0, t1 * t1, t2 * t2
+    s01, s02, s12 = b * t0 * t1, b * t0 * t2, b * t1 * t2
+    e00, e01, e02 = 1.0 - b * (s11 + s22), s01 - a * t2, s02 + a * t1
+    e10, e11, e12 = s01 + a * t2, 1.0 - b * (s00 + s22), s12 - a * t0
+    e20, e21, e22 = s02 - a * t1, s12 + a * t0, 1.0 - b * (s00 + s11)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    R_new = ((r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
+              r00 * e02 + r01 * e12 + r02 * e22),
+             (r10 * e00 + r11 * e10 + r12 * e20, r10 * e01 + r11 * e11 + r12 * e21,
+              r10 * e02 + r11 * e12 + r12 * e22),
+             (r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
+              r20 * e02 + r21 * e12 + r22 * e22))
+
+    if not all(map(math.isfinite, (*x_new, *v_new, *w_new, *R_new[0], *R_new[1], *R_new[2]))):
+        raise RuntimeError(DIVERGED)
+    return RigidBodyState(x=x_new, v=v_new, R=R_new, omega_b=w_new)

@@ -253,3 +253,15 @@ def test_pipeline_without_handlers_skips_bias():
     cmd = alc.allocate(np.array([0.0, 0.0, 40.0, 0.0, 0.0, 0.0]), np.zeros(6), 0.005)
     assert cmd.k_t == 0.0
     assert_allclose(cmd.alpha_cmd, 0.0, atol=1e-12)
+
+
+def test_pipeline_skips_handlers_when_the_force_norm_overflows():
+    """A finite force whose norm overflows has no direction to test for
+    singularities; the handlers stay off as they do for a vanishing force,
+    instead of testing the zero vector F / inf."""
+    alc = Allocator(VehicleParams(), SingularityParams())
+    w_des = np.array([0.0, 1e300, 1e300, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        cmd = alc.allocate(w_des, np.zeros(6), 0.005)
+    assert cmd.k_t == 0.0
+    assert np.array_equal(cmd.k_alpha, np.zeros(6))

@@ -127,9 +127,9 @@ def test_non_finite_summary_is_numerical_failure(tmp_path, capsys):
     cfg = tmp_path / "light.json"
     cfg.write_text('{"vehicle": {"m": 1e-300}}')
     out = tmp_path / "out"
-    assert cli.main(["simulate", "--experiment", "hover", "--config", str(cfg), "--out", str(out)]) == 3
+    assert cli.main(["simulate", "--experiment", "flip", "--config", str(cfg), "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
-    assert [p.name for p in out.iterdir()] == ["hover_log.csv"]
+    assert [p.name for p in out.iterdir()] == ["flip_log.csv"]
 
 
 def test_missing_config_file_is_config_error(tmp_path):

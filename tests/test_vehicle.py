@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from omnidyn import vehicle
+from omnidyn import mathcore, vehicle
 from omnidyn.allocation import Allocator
 from omnidyn.analysis import condition_map, hover_sweep
 from omnidyn.controller import Gains
-from omnidyn.mathcore import is_rotation, orthonormalize, rotation_from_axis_angle
+from omnidyn.mathcore import is_rotation, rotation_from_axis_angle
 from omnidyn.simulation import SimConfig, simulate
 from omnidyn.singularity import SingularityParams, derivative_allocation
 from omnidyn.trajectories import make_hover
@@ -21,9 +21,10 @@ from omnidyn.vehicle import (
     Wrench,
     build_A_alpha,
     integrate_step,
-    rigid_body_derivative,
     rotor_columns,
 )
+
+EPS = np.finfo(float).eps
 
 
 def test_default_params_values():
@@ -159,23 +160,37 @@ def test_wrench_vector_round_trip():
 
 
 def test_derivative_gravity_and_frame_mapping():
+    """One step from rest with the body pitched 90 deg about y.
+
+    With omega = 0 every stage has theta = 0 and the same acceleration, so
+    v+ = dt/6 (a + 2a + 2a + a) and R+ = R exactly. v+ / dt then differs
+    from the state derivative by the roundings in m g / m, the three sums,
+    dt / 6, the product and the division: eight, each below eps / 2.
+    """
     p = VehicleParams()
-    # body frame pitched 90 deg: body z thrust pushes along inertial -x... check mapping
     R = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 2.0)
     wrench = Wrench(F=np.array([0.0, 0.0, p.m * p.g_mag]), tau=np.zeros(3))
-    _, v_dot, _, _ = rigid_body_derivative(np.zeros(3), np.zeros(3), R, np.zeros(3), wrench, p)
+    dt = 1.0e-3
+    state = integrate_step(RigidBodyState(R=R), wrench, dt, p)
     # thrust along body z maps to inertial +x, gravity still pulls -z
-    assert_allclose(v_dot, [p.g_mag, 0.0, -p.g_mag], atol=1e-12)
+    assert_allclose(state.v / dt, [p.g_mag, 0.0, -p.g_mag], rtol=0.0, atol=4.0 * EPS * p.g_mag)
+    assert np.array_equal(state.R, R)
+    assert np.array_equal(state.omega_b, np.zeros(3))
 
 
 def test_derivative_euler_term():
+    """(omega+ - omega) / dt after one torque-free step is the Euler term
+    -J^-1 (omega x J omega), up to the Taylor remainder dt/2 |omega''| and
+    the rounding of omega+ divided by dt."""
     p = VehicleParams()
     omega = np.array([1.0, 2.0, 3.0])
-    _, _, _, om_dot = rigid_body_derivative(np.zeros(3), np.zeros(3), np.eye(3), omega,
-                                            Wrench(F=np.zeros(3), tau=np.zeros(3)), p)
     J = np.diag(p.J_b)
+    dt = 1.0e-7
+    state = integrate_step(RigidBodyState(omega_b=omega), Wrench(F=np.zeros(3), tau=np.zeros(3)), dt, p)
     expected = -np.cross(omega, J * omega) / J
-    assert_allclose(om_dot, expected)
+    omega_ddot = -(np.cross(expected, J * omega) + np.cross(omega, J * expected)) / J
+    tol = dt * np.abs(omega_ddot).max() + 4.0 * EPS * np.abs(omega).max() / dt
+    assert_allclose((state.omega_b - omega) / dt, expected, rtol=0.0, atol=tol)
 
 
 def test_integrate_step_free_fall_is_exact():
@@ -240,35 +255,102 @@ def test_integrate_step_convergence_order():
     assert e_fine < e_coarse / 8.0
 
 
-def test_integrate_step_is_per_component_rk4_bit_for_bit():
-    """The packed 18-vector step equals textbook RK4 run on x, v, R and
-    omega separately, to the last bit, over a long tumble."""
-    p = VehicleParams()
-    wrench = Wrench(F=np.array([1.0, -2.0, 45.0]), tau=np.array([0.03, -0.01, 0.02]))
-    dt = 0.001
-
-    def f(x, v, R, om):
-        return rigid_body_derivative(x, v, R, om, wrench, p)
-
-    def textbook_step(y0):
-        k1 = f(*y0)
-        k2 = f(*[y + 0.5 * dt * k for y, k in zip(y0, k1)])
-        k3 = f(*[y + 0.5 * dt * k for y, k in zip(y0, k2)])
-        k4 = f(*[y + dt * k for y, k in zip(y0, k3)])
-        x, v, R, om = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                       for y, a, b, c, d in zip(y0, k1, k2, k3, k4)]
-        return x, v, orthonormalize(R), om
-
+def tumbling():
+    """An asymmetric body under a held force and torque: (state, wrench, params)."""
     R0 = rotation_from_axis_angle(np.array([0.6, 0.0, 0.8]), 0.7)
     state = RigidBodyState(x=np.array([0.1, -0.2, 0.3]), v=np.array([1.0, 0.5, -0.3]),
                            R=R0, omega_b=np.array([3.0, -2.0, 5.0]))
-    ref = (state.x, state.v, state.R, state.omega_b)
-    for _ in range(2000):
-        state = integrate_step(state, wrench, dt, p)
-        ref = textbook_step(ref)
-    assert np.max(np.abs(state.R - R0)) > 0.5  # it did tumble
-    for got, want in zip((state.x, state.v, state.R, state.omega_b), ref):
-        assert np.array_equal(got, want)
+    wrench = Wrench(F=np.array([1.0, -2.0, 45.0]), tau=np.array([0.03, -0.01, 0.02]))
+    return state, wrench, VehicleParams(J_b=np.diag([0.08, 0.11, 0.14]))
+
+
+def test_integrate_step_is_fourth_order_on_every_component():
+    """Tumbling under a held force and torque, halving dt cuts the error of
+    each of the 18 state components against a dt = 1e-4 reference by close
+    to 2^4, and by at least 12."""
+    def final(dt, n):
+        state, wrench, p = tumbling()
+        for _ in range(n):
+            state = integrate_step(state, wrench, dt, p)
+        return np.concatenate([state.x, state.v, state.R.ravel(), state.omega_b])
+
+    ref = final(1.0e-4, 10000)
+    e_coarse = np.abs(final(1.0e-2, 100) - ref)
+    e_fine = np.abs(final(5.0e-3, 200) - ref)
+    assert np.all(e_fine < e_coarse / 12.0)
+
+
+def test_integrate_step_keeps_R_orthonormal_without_svd(monkeypatch):
+    """R is advanced by the exp map alone: 1e5 tumbling steps call no SVD
+    and leave R^T R within 1e-12 of I and det R within 1e-12 of 1."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("integrate_step must not orthonormalize")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(mathcore, "orthonormalize", no_svd)
+    monkeypatch.setattr(vehicle, "orthonormalize", no_svd)
+    state, wrench, p = tumbling()
+    for _ in range(100_000):
+        state = integrate_step(state, wrench, 1.0e-3, p)
+    R = state.R
+    assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12
+    assert abs(np.linalg.det(R) - 1.0) < 1e-12
+
+
+def test_integrate_step_symmetric_top_matches_closed_form():
+    """Torque-free symmetric top (J_xx = J_yy): omega_b precesses about
+    body z at lam = (J_zz - J_xx) / J_xx omega_z, and
+    R(t) = R0 exp(t hat(omega0 + lam e_z)) exp(-lam t hat(e_z))."""
+    p = VehicleParams()
+    J_xx, J_zz = p.J_b[0, 0], p.J_b[2, 2]
+    assert p.J_b[1, 1] == J_xx
+    ez = np.array([0.0, 0.0, 1.0])
+    omega0 = np.array([1.5, -0.8, 4.0])
+    R0 = rotation_from_axis_angle(np.array([0.0, 0.6, 0.8]), 1.1)
+    x0, v0 = np.array([0.1, 0.2, 0.3]), np.array([0.3, -0.4, 0.5])
+    lam = (J_zz - J_xx) / J_xx * omega0[2]
+    spin = omega0 + lam * ez
+    T = 2.0
+
+    def closed_form(t):
+        R = (R0 @ rotation_from_axis_angle(spin / np.linalg.norm(spin), np.linalg.norm(spin) * t)
+             @ rotation_from_axis_angle(ez, -lam * t))
+        return R, rotation_from_axis_angle(ez, lam * t) @ omega0
+
+    def errors(dt):
+        state = RigidBodyState(x=x0, v=v0, R=R0, omega_b=omega0)
+        n = int(round(T / dt))
+        for _ in range(n):
+            state = integrate_step(state, Wrench(), dt, p)
+        R, omega = closed_form(T)
+        # gravity alone acts on the translation, which RK4 integrates exactly
+        assert_allclose(state.x, x0 + v0 * T - 0.5 * p.g_mag * T**2 * ez, rtol=0.0, atol=1e-12)
+        assert_allclose(state.v, v0 - p.g_mag * T * ez, rtol=0.0, atol=1e-12)
+        return np.abs(state.R - R).max(), np.abs(state.omega_b - omega).max(), n
+
+    e_R_coarse, e_omega_coarse, _ = errors(2.0e-3)
+    e_R, e_omega, n = errors(1.0e-3)
+    # A fourth-order step errs by O((|omega| dt)^5); n steps add at most n of those.
+    bound = n * (np.linalg.norm(omega0) * 1.0e-3) ** 5
+    assert e_R < bound and e_omega < bound
+    assert e_R < e_R_coarse / 12.0 and e_omega < e_omega_coarse / 12.0
+
+
+@pytest.mark.parametrize("state, F, params", [
+    # omega overflows |theta|^2 inside the exp map of stage 2
+    (dict(omega_b=np.full(3, 1e200)), np.zeros(3), {}),
+    # finite theta components, theta . theta overflows only inside the exp
+    (dict(omega_b=np.array([1e200, 0.0, 0.0])), np.zeros(3), {}),
+    # the thrust overflows the RK4 sum of the stage accelerations
+    (dict(R=rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 4.0)), np.full(3, 1e308), {}),
+    # thrust over a light mass overflows the acceleration itself
+    ({}, np.array([1e308, 0.0, 0.0]), dict(m=1e-3)),
+])
+def test_integrate_step_overflow_is_runtime_error(state, F, params):
+    """Overflow must surface as the RuntimeError that simulate turns into
+    SimulationDiverged, never as math's ValueError or OverflowError."""
+    with pytest.raises(RuntimeError, match="non-finite"):
+        integrate_step(RigidBodyState(**state), Wrench(F=F, tau=np.zeros(3)), 1.0e-3, VehicleParams(**params))
 
 
 def test_integrate_step_raises_on_non_finite():
