@@ -24,18 +24,19 @@ from .singularity import (
     SingularityParams,
     apply_damping_and_unwind,
     apply_tilt_bias,
-    arm_alignment,
     damping_multiplier,
+    singular_angles,
     tilt_bias_multiplier,
-    z_misalignment,
 )
+# allocate reads both angles from singular_angles; these two stay bound here
+# because perfbench/tracer.py looks them up in this module.
+from .singularity import arm_alignment, z_misalignment  # noqa: F401
 # rotor_columns is bound here so that perfbench/tracer.py can count column builds.
 from .vehicle import VehicleParams, build_A_alpha, rotor_columns
 
 # Pair magnitudes below this fraction of the largest arm's are treated as
 # zero in the tilt-angle extraction (the angle is no longer informative).
 DEGENERATE_REL_TOL = 1e-9
-ARMS = np.arange(6)
 
 
 def extract_tilt_angles(u, alpha_prev):
@@ -110,10 +111,10 @@ class Allocator:
         sp = self.sing_params
         # A force too small, or one whose norm overflows, has no usable direction.
         if sp is not None and 1e-6 * params.m * params.g_mag <= F_norm < np.inf:
-            F_dir = F / F_norm
-            k_t = tilt_bias_multiplier(z_misalignment(F_dir), sp)
+            phi_z, eta = singular_angles(F / F_norm, params)
+            k_t = tilt_bias_multiplier(phi_z, sp)
             delta = apply_tilt_bias(delta, k_t, sp)
-            k_alpha = damping_multiplier(arm_alignment(F_dir, ARMS, params), sp)
+            k_alpha = damping_multiplier(eta, sp)
             delta = apply_damping_and_unwind(delta, k_alpha, alpha_prev, sp, dt)
 
         limit = params.alpha_dot_max * dt

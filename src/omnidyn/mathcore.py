@@ -6,6 +6,8 @@ arrays in SO(3). Functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SKEW_TOL = 1e-9
@@ -42,14 +44,29 @@ def cross(a, b):
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
-def rotation_from_axis_angle(axis, angle):
-    """Rodrigues rotation about a unit axis by angle (rad)."""
+def axis_rotation(axis):
+    """Rodrigues rotation about a fixed unit axis, as a function of the angle (rad).
+
+    hat(axis), its square and the identity are built once, so a call
+    costs only the two trigonometric terms.
+    """
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis)
     if abs(norm - 1.0) > 1e-9:
-        raise ValueError("rotation_from_axis_angle: axis must be a unit vector")
+        raise ValueError("axis_rotation: axis must be a unit vector")
     K = hat(axis)
-    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    K2 = K @ K
+    eye = np.eye(3)
+
+    def rotation(angle):
+        return eye + np.sin(angle) * K + (1.0 - np.cos(angle)) * K2
+
+    return rotation
+
+
+def rotation_from_axis_angle(axis, angle):
+    """Rodrigues rotation about a unit axis by angle (rad)."""
+    return axis_rotation(axis)(angle)
 
 
 def angle_between(a, b):
@@ -99,24 +116,28 @@ def orthonormalize(R):
 
 
 def rotation_to_quat(R):
-    """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0."""
-    R = np.asarray(R, dtype=float)
-    t = R.trace()
+    """Unit quaternion (w, x, y, z) of a rotation matrix, w >= 0.
+
+    Computed in Python floats: the trace sums the diagonal in the order
+    ndarray.trace does, and sqrt is correctly rounded in both, so the
+    result is bit for bit the numpy formula's.
+    """
+    R = np.asarray(R, dtype=float).tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+    t = r00 + r11 + r22
     if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (R[2, 1] - R[1, 2]) / s,
-                      (R[0, 2] - R[2, 0]) / s,
-                      (R[1, 0] - R[0, 1]) / s])
+        s = math.sqrt(t + 1.0) * 2.0
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
     else:
-        i = int(R.diagonal().argmax())
+        # The first largest diagonal entry, as argmax picks it.
+        i = 0 if r00 >= r11 and r00 >= r22 else (1 if r11 >= r22 else 2)
         j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) / s
+        s = math.sqrt(R[i][i] - R[j][j] - R[k][k] + 1.0) * 2.0
+        q = [0.0] * 4
+        q[0] = (R[k][j] - R[j][k]) / s
         q[1 + i] = 0.25 * s
-        q[1 + j] = (R[j, i] + R[i, j]) / s
-        q[1 + k] = (R[k, i] + R[i, k]) / s
+        q[1 + j] = (R[j][i] + R[i][j]) / s
+        q[1 + k] = (R[k][i] + R[i][k]) / s
     if q[0] < 0.0:
-        q = -q
-    return q
+        q = [-c for c in q]
+    return np.array(q)

@@ -20,9 +20,18 @@ from .trajectories import Trajectory
 from .vehicle import RigidBodyState, VehicleParams, Wrench, integrate_step
 
 
+# Smallest accepted time step, s. Far below any control or physics rate;
+# it keeps the number of physics steps and log rows of a run finite.
+MIN_TIME_STEP = 1e-6
+
+
 @dataclass
 class SimConfig:
-    """Loop rates and optional overrides for a simulation run."""
+    """Loop rates and optional overrides for a simulation run.
+
+    Both time steps must be at least MIN_TIME_STEP, and dt_control an
+    integer multiple of dt_physics.
+    """
 
     dt_physics: float = 0.001
     dt_control: float = 0.005
@@ -34,8 +43,8 @@ class SimConfig:
             raise ValueError("time steps must be finite")
         if self.duration is not None and not (np.isfinite(self.duration) and self.duration >= 0.0):
             raise ValueError("duration must be finite and nonnegative")
-        if self.dt_physics <= 0.0 or self.dt_control <= 0.0:
-            raise ValueError("time steps must be positive")
+        if self.dt_physics < MIN_TIME_STEP or self.dt_control < MIN_TIME_STEP:
+            raise ValueError(f"time steps must be at least {MIN_TIME_STEP} s")
         ratio = self.dt_control / self.dt_physics
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("dt_control must be an integer multiple of dt_physics")
@@ -93,7 +102,11 @@ class SimLog:
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when the plant state stops being finite; carries the partial log."""
+    """Raised when the plant state stops being finite; carries the partial log.
+
+    simulate's message names the control tick whose physics steps diverged
+    and that tick's time.
+    """
 
     def __init__(self, message, log: SimLog):
         super().__init__(message)
@@ -135,24 +148,26 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
         thrust_sum = float(thrusts.sum())
         eta_f = float(np.linalg.norm(realized[:3]) / thrust_sum) if thrust_sum > 0.0 else 0.0
 
-        rows[k] = np.concatenate([
-            [t], state.x, state.v, rotation_to_quat(state.R), state.omega_b,
-            sp.x_sp, sp.v_sp, rotation_to_quat(sp.R_sp), sp.omega_sp,
-            errors.e_p, errors.e_v, errors.e_R, errors.e_omega,
-            wrench_des.F, wrench_des.tau,
-            cmd.alpha_cmd, cmd.Omega_cmd,
-            [eta_f, cmd.k_t], cmd.k_alpha,
-        ])
+        # One flat list of Python floats, in LOG_FIELDS order.
+        rows[k] = [
+            t, *state.x.tolist(), *state.v.tolist(), *rotation_to_quat(state.R).tolist(),
+            *state.omega_b.tolist(),
+            *sp.x_sp.tolist(), *sp.v_sp.tolist(), *rotation_to_quat(sp.R_sp).tolist(),
+            *sp.omega_sp.tolist(),
+            *errors.e_p.tolist(), *errors.e_v.tolist(), *errors.e_R.tolist(), *errors.e_omega.tolist(),
+            *wrench_des.F.tolist(), *wrench_des.tau.tolist(),
+            *cmd.alpha_cmd.tolist(), *cmd.Omega_cmd.tolist(),
+            eta_f, cmd.k_t, *cmd.k_alpha.tolist(),
+        ]
 
         if k == n_ticks:
             break
         plant_wrench = Wrench(F=realized[:3], tau=realized[3:])
         try:
-            for _ in range(steps_per_tick):
-                state = integrate_step(state, plant_wrench, config.dt_physics, params)
+            state = integrate_step(state, plant_wrench, config.dt_physics, params, steps_per_tick)
         except RuntimeError as exc:
             partial = SimLog(data=rows[:k + 1].copy(), dt_control=config.dt_control)
-            raise SimulationDiverged(str(exc), partial) from exc
+            raise SimulationDiverged(f"{exc} in control tick {k} (t = {t:.9g} s)", partial) from exc
 
     return SimLog(data=rows, dt_control=config.dt_control)
 

@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mathcore import angle_between
-from .vehicle import ARM, VehicleParams, build_A_alpha
-
-Z_AXIS = np.array([0.0, 0.0, 1.0])
+from .vehicle import ARM, Z_AXIS, VehicleParams, build_A_alpha
 
 
 @dataclass
@@ -61,11 +59,15 @@ class SingularityParams:
             raise ValueError("b must be 6 alternating entries of +/-1")
 
 
+def _nearest_z_family(to_z, to_minus_z):
+    """The smaller of the angles to +z, to -z and to the z-plane."""
+    return min(to_z, to_minus_z, abs(np.pi / 2.0 - to_z))
+
+
 def z_misalignment(F_dir):
     """Angle of a unit force direction to the nearer of the body z-axis
     (either sign) and the body z-plane. Ranges over [0, pi/4]."""
-    to_z = angle_between(F_dir, Z_AXIS)
-    return min(to_z, angle_between(F_dir, -Z_AXIS), abs(np.pi / 2.0 - to_z))
+    return _nearest_z_family(angle_between(F_dir, Z_AXIS), angle_between(F_dir, -Z_AXIS))
 
 
 def tilt_bias_multiplier(phi, params: SingularityParams):
@@ -89,6 +91,18 @@ def arm_alignment(F_dir, arm_index, params: VehicleParams):
     """
     axis = params.arm_axes[arm_index]
     return np.minimum(angle_between(F_dir, axis), angle_between(F_dir, -axis))
+
+
+def singular_angles(F_dir, params: VehicleParams):
+    """(z_misalignment(F_dir), arm_alignment(F_dir, arange(6), params)) from
+    one angle_between call over params.singular_lines.
+
+    The rows are the vectors the two functions use, with the same signed
+    zeros, and stacked rows give each angle bit for bit, so both results
+    equal theirs.
+    """
+    angles = angle_between(F_dir, params.singular_lines)
+    return _nearest_z_family(angles[0], angles[1]), np.minimum(angles[2:8], angles[8:])
 
 
 def damping_multiplier(eta, params: SingularityParams):

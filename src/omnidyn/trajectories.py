@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .controller import TrajectorySetpoint
-from .mathcore import rotation_from_axis_angle
+from .mathcore import axis_rotation
 from .vehicle import VehicleParams
 
 
@@ -72,10 +72,11 @@ def make_rotation(angle=np.pi / 2.0, axis=(1.0, 0.0, 0.0), period=6.0) -> Trajec
     """Rotation in place about a fixed axis, rest to rest."""
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
+    rotation = axis_rotation(axis)
 
     def sampler(t):
         s, sd, _ = quintic_blend(t, period)
-        return TrajectorySetpoint(R_sp=rotation_from_axis_angle(axis, angle * s),
+        return TrajectorySetpoint(R_sp=rotation(angle * s),
                                   omega_sp=axis * angle * sd)
 
     return Trajectory(duration=period, sampler=sampler)
@@ -96,12 +97,13 @@ def make_singular_translation(params: VehicleParams, amplitude=1.0,
     """
     g0 = params.gamma[0]
     tilt_axis = np.array([-np.sin(g0), np.cos(g0), 0.0])
-    R_hold = rotation_from_axis_angle(tilt_axis, np.pi / 2.0)
+    tilt = axis_rotation(tilt_axis)
+    R_hold = tilt(np.pi / 2.0)
 
     def sampler(t):
         if t <= reorient:
             s, sd, _ = quintic_blend(t, reorient)
-            return TrajectorySetpoint(R_sp=rotation_from_axis_angle(tilt_axis, np.pi / 2.0 * s),
+            return TrajectorySetpoint(R_sp=tilt(np.pi / 2.0 * s),
                                       omega_sp=tilt_axis * (np.pi / 2.0) * sd)
         s, sd, sdd = quintic_blend(t - reorient, period)
         return TrajectorySetpoint(x_sp=np.array([amplitude * s, 0.0, 0.0]),
@@ -119,16 +121,18 @@ def make_cartwheel(period=12.0, reorient=4.0) -> Trajectory:
     z-plane, crossing each of the six arm azimuths once.
     """
     pitch_axis = np.array([0.0, 1.0, 0.0])
-    R1 = rotation_from_axis_angle(pitch_axis, np.pi / 2.0)
+    pitch = axis_rotation(pitch_axis)
+    R1 = pitch(np.pi / 2.0)
     z_body = np.array([0.0, 0.0, 1.0])
+    yaw = axis_rotation(z_body)
 
     def sampler(t):
         if t <= reorient:
             s, sd, _ = quintic_blend(t, reorient)
-            return TrajectorySetpoint(R_sp=rotation_from_axis_angle(pitch_axis, np.pi / 2.0 * s),
+            return TrajectorySetpoint(R_sp=pitch(np.pi / 2.0 * s),
                                       omega_sp=pitch_axis * (np.pi / 2.0) * sd)
         s, sd, _ = quintic_blend(t - reorient, period)
-        return TrajectorySetpoint(R_sp=R1 @ rotation_from_axis_angle(z_body, 2.0 * np.pi * s),
+        return TrajectorySetpoint(R_sp=R1 @ yaw(2.0 * np.pi * s),
                                   omega_sp=z_body * 2.0 * np.pi * sd)
 
     return Trajectory(duration=reorient + period, sampler=sampler)

@@ -23,6 +23,8 @@ ARM = np.arange(12) % 6
 
 DIVERGED = "integration step produced non-finite state"
 
+Z_AXIS = np.array([0.0, 0.0, 1.0])
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -53,12 +55,14 @@ class VehicleParams:
     alpha_dot_max: float = 6.0
     g_mag: float = 9.81
     # Derived in __post_init__: rotor_columns, the fixed 6x24 allocation matrix
-    # (layout in omnidyn.allocation), its pseudo-inverse, the unit arm axes.
+    # (layout in omnidyn.allocation), its pseudo-inverse, the unit arm axes,
+    # and the 14 singular force directions [z, -z, arm axes, -arm axes].
     sin_cols: np.ndarray = field(init=False, repr=False, compare=False)
     cos_cols: np.ndarray = field(init=False, repr=False, compare=False)
     A: np.ndarray = field(init=False, repr=False, compare=False)
     A_pinv: np.ndarray = field(init=False, repr=False, compare=False)
     arm_axes: np.ndarray = field(init=False, repr=False, compare=False)
+    singular_lines: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Frozen: fields are set here once, so the derived ones never go stale.
@@ -69,11 +73,16 @@ class VehicleParams:
             raise ValueError("vehicle parameters must be finite")
         if self.x_com.shape != (3,):
             raise ValueError("x_com must have 3 entries")
-        # Subnormal mass or inertia underflows m * g and the inverse-inertia
-        # terms to 0 or inf in the controller and the plant.
+        # Subnormal mass, gravity or inertia underflows m * g and the
+        # inverse-inertia terms to 0 or inf in the controller and the plant;
+        # the allocation's force threshold 1e-6 m g must stay above 0.
         tiny = np.finfo(float).tiny
         if self.m < tiny:
             raise ValueError("mass must be positive and not subnormal")
+        if self.g_mag < tiny:
+            raise ValueError("g must be positive and not subnormal")
+        if not tiny <= self.m * self.g_mag < math.inf:
+            raise ValueError("weight m * g must be a normal float (it underflows or overflows)")
         if self.J_b.shape != (3, 3):
             raise ValueError("J_b must be 3x3")
         if np.any(np.diag(self.J_b) < tiny) or np.max(np.abs(self.J_b - np.diag(np.diag(self.J_b)))) > 0.0:
@@ -101,8 +110,11 @@ class VehicleParams:
             if not np.all(np.isfinite(A_pinv)):
                 raise ValueError("allocation matrix has no finite pseudo-inverse")
         arm_axes = np.stack([np.cos(self.gamma), np.sin(self.gamma), np.zeros(6)], axis=-1)
+        # Negated, not built, so the signed zeros are those of -Z_AXIS and -axis.
+        singular_lines = np.vstack([Z_AXIS, -Z_AXIS, arm_axes, -arm_axes])
         for name, value in (("sin_cols", sin_cols), ("cos_cols", cos_cols), ("A", A),
-                            ("A_pinv", A_pinv), ("arm_axes", arm_axes)):
+                            ("A_pinv", A_pinv), ("arm_axes", arm_axes),
+                            ("singular_lines", singular_lines)):
             object.__setattr__(self, name, value)
 
 
@@ -215,17 +227,20 @@ def _stage(R, f, g_mag, tau, J, w, t):
     return acc, K, w_dot
 
 
-def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehicleParams) -> RigidBodyState:
-    """Advance the rigid body by dt under a held body thrust wrench.
+def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehicleParams,
+                   n_steps=1) -> RigidBodyState:
+    """Advance the rigid body by n_steps steps of dt under a held body thrust wrench.
 
-    One fourth-order Runge-Kutta-Munthe-Kaas step (RKMK4) on
-    SO(3) x R^9, in Python floats. omega_b, x and v take classical RK4
-    steps; R becomes R exp(hat(theta)), with theta the RK4 combination of
-    the dexp^-1 stage increments. The stage accelerations use the stage
-    rotations R exp(hat(theta_i)). R stays in SO(3) through the exp map,
-    with no re-orthonormalization. The wrench argument is thrust only;
-    gravity acts along inertial -z. Raises RuntimeError if the step
-    produces non-finite values.
+    Each step is one fourth-order Runge-Kutta-Munthe-Kaas step (RKMK4)
+    on SO(3) x R^9, in Python floats. omega_b, x and v take classical
+    RK4 steps; R becomes R exp(hat(theta)), with theta the RK4
+    combination of the dexp^-1 stage increments. The stage accelerations
+    use the stage rotations R exp(hat(theta_i)). R stays in SO(3) through
+    the exp map, with no re-orthonormalization. The wrench argument is
+    thrust only; gravity acts along inertial -z. The state stays in
+    floats between steps, so n_steps steps give the same bits as n_steps
+    single calls, and one RigidBodyState is built at the end. Raises
+    RuntimeError as soon as a step produces non-finite values.
     """
     x0, x1, x2 = state.x.tolist()
     v0, v1, v2 = state.v.tolist()
@@ -236,47 +251,48 @@ def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehiclePar
     f = (F0 / m, F1 / m, F2 / m)
     tau, J = wrench.tau.tolist(), params.J_b.diagonal().tolist()
     half = 0.5 * dt
-
-    # Stage i: theta_i = c_i dt K_{i-1}, omega_i = omega + c_i dt k_{i-1},
-    # v_i = v + c_i dt a_{i-1}, with c = (0, 1/2, 1/2, 1).
-    a1, K1, k1 = _stage(R, f, g_mag, tau, J, (w0, w1, w2), (0.0, 0.0, 0.0))
-    a2, K2, k2 = _stage(R, f, g_mag, tau, J, (w0 + half * k1[0], w1 + half * k1[1], w2 + half * k1[2]),
-                        (half * K1[0], half * K1[1], half * K1[2]))
-    a3, K3, k3 = _stage(R, f, g_mag, tau, J, (w0 + half * k2[0], w1 + half * k2[1], w2 + half * k2[2]),
-                        (half * K2[0], half * K2[1], half * K2[2]))
-    a4, K4, k4 = _stage(R, f, g_mag, tau, J, (w0 + dt * k3[0], w1 + dt * k3[1], w2 + dt * k3[2]),
-                        (dt * K3[0], dt * K3[1], dt * K3[2]))
-
     sixth = dt / 6.0
-    # x' = v: the stage velocities are v, v + dt/2 a1, v + dt/2 a2, v + dt a3.
-    x_new = (x0 + sixth * (6.0 * v0 + dt * (a1[0] + a2[0] + a3[0])),
-             x1 + sixth * (6.0 * v1 + dt * (a1[1] + a2[1] + a3[1])),
-             x2 + sixth * (6.0 * v2 + dt * (a1[2] + a2[2] + a3[2])))
-    v_new = (v0 + sixth * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
-             v1 + sixth * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
-             v2 + sixth * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]))
-    w_new = (w0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-             w1 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-             w2 + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
-    t0 = sixth * (K1[0] + 2.0 * K2[0] + 2.0 * K3[0] + K4[0])
-    t1 = sixth * (K1[1] + 2.0 * K2[1] + 2.0 * K3[1] + K4[1])
-    t2 = sixth * (K1[2] + 2.0 * K2[2] + 2.0 * K3[2] + K4[2])
 
-    a, b = _exp_coefficients(t0, t1, t2)
-    # exp(hat(t)) = I + a hat(t) + b (t t^T - |t|^2 I)
-    s00, s11, s22 = t0 * t0, t1 * t1, t2 * t2
-    s01, s02, s12 = b * t0 * t1, b * t0 * t2, b * t1 * t2
-    e00, e01, e02 = 1.0 - b * (s11 + s22), s01 - a * t2, s02 + a * t1
-    e10, e11, e12 = s01 + a * t2, 1.0 - b * (s00 + s22), s12 - a * t0
-    e20, e21, e22 = s02 - a * t1, s12 + a * t0, 1.0 - b * (s00 + s11)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
-    R_new = ((r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
+    for _ in range(n_steps):
+        # Stage i: theta_i = c_i dt K_{i-1}, omega_i = omega + c_i dt k_{i-1},
+        # v_i = v + c_i dt a_{i-1}, with c = (0, 1/2, 1/2, 1).
+        a1, K1, k1 = _stage(R, f, g_mag, tau, J, (w0, w1, w2), (0.0, 0.0, 0.0))
+        a2, K2, k2 = _stage(R, f, g_mag, tau, J, (w0 + half * k1[0], w1 + half * k1[1], w2 + half * k1[2]),
+                            (half * K1[0], half * K1[1], half * K1[2]))
+        a3, K3, k3 = _stage(R, f, g_mag, tau, J, (w0 + half * k2[0], w1 + half * k2[1], w2 + half * k2[2]),
+                            (half * K2[0], half * K2[1], half * K2[2]))
+        a4, K4, k4 = _stage(R, f, g_mag, tau, J, (w0 + dt * k3[0], w1 + dt * k3[1], w2 + dt * k3[2]),
+                            (dt * K3[0], dt * K3[1], dt * K3[2]))
+
+        # x' = v: the stage velocities are v, v + dt/2 a1, v + dt/2 a2, v + dt a3.
+        x0, x1, x2 = (x0 + sixth * (6.0 * v0 + dt * (a1[0] + a2[0] + a3[0])),
+                      x1 + sixth * (6.0 * v1 + dt * (a1[1] + a2[1] + a3[1])),
+                      x2 + sixth * (6.0 * v2 + dt * (a1[2] + a2[2] + a3[2])))
+        v0, v1, v2 = (v0 + sixth * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
+                      v1 + sixth * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
+                      v2 + sixth * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]))
+        w0, w1, w2 = (w0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                      w1 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+                      w2 + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
+        t0 = sixth * (K1[0] + 2.0 * K2[0] + 2.0 * K3[0] + K4[0])
+        t1 = sixth * (K1[1] + 2.0 * K2[1] + 2.0 * K3[1] + K4[1])
+        t2 = sixth * (K1[2] + 2.0 * K2[2] + 2.0 * K3[2] + K4[2])
+
+        a, b = _exp_coefficients(t0, t1, t2)
+        # exp(hat(t)) = I + a hat(t) + b (t t^T - |t|^2 I)
+        s00, s11, s22 = t0 * t0, t1 * t1, t2 * t2
+        s01, s02, s12 = b * t0 * t1, b * t0 * t2, b * t1 * t2
+        e00, e01, e02 = 1.0 - b * (s11 + s22), s01 - a * t2, s02 + a * t1
+        e10, e11, e12 = s01 + a * t2, 1.0 - b * (s00 + s22), s12 - a * t0
+        e20, e21, e22 = s02 - a * t1, s12 + a * t0, 1.0 - b * (s00 + s11)
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
+        R = ((r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
               r00 * e02 + r01 * e12 + r02 * e22),
              (r10 * e00 + r11 * e10 + r12 * e20, r10 * e01 + r11 * e11 + r12 * e21,
               r10 * e02 + r11 * e12 + r12 * e22),
              (r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
               r20 * e02 + r21 * e12 + r22 * e22))
 
-    if not all(map(math.isfinite, (*x_new, *v_new, *w_new, *R_new[0], *R_new[1], *R_new[2]))):
-        raise RuntimeError(DIVERGED)
-    return RigidBodyState(x=x_new, v=v_new, R=R_new, omega_b=w_new)
+        if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2, w0, w1, w2, *R[0], *R[1], *R[2]))):
+            raise RuntimeError(DIVERGED)
+    return RigidBodyState(x=(x0, x1, x2), v=(v0, v1, v2), R=R, omega_b=(w0, w1, w2))

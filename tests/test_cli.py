@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from omnidyn import cli
-from omnidyn.simulation import SimLog, SimulationDiverged, log_column_names
+from omnidyn import cli, simulation
+from omnidyn.simulation import log_column_names
+from omnidyn.vehicle import DIVERGED
 
 CLI = [sys.executable, "-m", "omnidyn.cli"]
 
@@ -77,6 +78,9 @@ def test_bad_config_is_config_error(tmp_path):
     '{"vehicle": {"c_f": 1e10, "l_x": 1e300}}',     # allocation matrix overflows
     '{"vehicle": {"m": 1e-320}}',                   # subnormal: m * g underflows
     '{"vehicle": {"J_diag": [1e-320, 0.08, 0.14]}}',  # subnormal principal inertia
+    '{"vehicle": {"g": 5e-324}}',                   # subnormal: 1e-6 m g underflows to 0
+    '{"vehicle": {"m": 1e300, "g": 1e10}}',         # m * g overflows
+    '{"vehicle": {"m": 1e-200, "g": 1e-200}}',      # m * g underflows
     '{"vehicle": [["m", 3.5]]}',                    # blocks must be objects, not pair lists
     '{"gains": []}',
     '{"sim": [["dt_control", 0.01]]}',
@@ -108,13 +112,21 @@ def test_linear_algebra_failure_is_numerical_failure(tmp_path, capsys, monkeypat
 
 
 def test_diverged_run_keeps_its_partial_log(tmp_path, capsys, monkeypatch):
-    def diverge(*args, **kwargs):
-        partial = SimLog(data=np.zeros((2, len(log_column_names()))), dt_control=0.005)
-        raise SimulationDiverged("integration step produced non-finite state", partial)
+    step = simulation.integrate_step
+    ticks = []
 
-    monkeypatch.setattr(cli, "simulate", diverge)
+    def diverge_in_tick_1(*args, **kwargs):
+        ticks.append(None)
+        if len(ticks) == 2:
+            raise RuntimeError(DIVERGED)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "integrate_step", diverge_in_tick_1)
     assert cli.main(["simulate", "--experiment", "hover", "--out", str(tmp_path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    # The exit-3 line names the tick whose physics steps diverged and its time.
+    assert "control tick 1 (t = 0.005 s)" in err
     assert [p.name for p in tmp_path.iterdir()] == ["hover_log.csv"]
     header, rows = read_csv(tmp_path / "hover_log.csv")
     assert header == log_column_names()
@@ -130,6 +142,17 @@ def test_non_finite_summary_is_numerical_failure(tmp_path, capsys):
     assert cli.main(["simulate", "--experiment", "flip", "--config", str(cfg), "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["flip_log.csv"]
+
+
+@pytest.mark.parametrize("sim", [{"dt_physics": 1e-300}, {"dt_physics": 1e-300, "dt_control": 1e-300},
+                                 {"dt_physics": 9.9e-7, "dt_control": 9.9e-7}])
+def test_time_step_below_floor_is_config_error(tmp_path, capsys, sim):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps({"sim": sim}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--experiment", "hover", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "time steps must be at least 1e-06 s" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_missing_config_file_is_config_error(tmp_path):

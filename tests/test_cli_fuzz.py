@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from omnidyn import cli
+from omnidyn.simulation import MIN_TIME_STEP
 from omnidyn.trajectories import Trajectory
 
 NAN, INF = float("nan"), float("inf")
@@ -53,12 +54,12 @@ def block(fields, valid):
 
 
 def run_config(valid):
-    # Time steps below about 1e-4 s make a drawn run too long to fuzz (see
-    # CHANGES.md), so the tiny ones drawn here are ones the loader rejects
-    # or that leave no finite number of control ticks.
+    # Accepted time steps stay at 1e-3 s or more: a run near MIN_TIME_STEP
+    # takes a thousand times longer. The tiny steps drawn are below the
+    # floor, so the loader must reject them.
     dt = st.sampled_from([1e-3, 2e-3, 5e-3, 1e-2, 2e-2])
     if not valid:
-        dt = st.one_of(dt, st.sampled_from([5e-324, 1e300]), INVALID)
+        dt = st.one_of(dt, st.sampled_from([5e-324, 1e-300, 1e-9, 0.99 * MIN_TIME_STEP, 1e300]), INVALID)
     return st.fixed_dictionaries({}, optional={
         "vehicle": block({"m": scalar(4.0, valid), "J_diag": vector(0.1, valid),
                           "x_com": vector(0.005, valid), "l_x": scalar(0.3, valid),
@@ -72,6 +73,12 @@ def run_config(valid):
                               "omega_u": scalar(8.0, valid)}, valid),
         "sim": block({"dt_physics": dt, "dt_control": dt}, valid),
     })
+
+
+def below_floor(config):
+    """True when the drawn sim block holds a positive time step below MIN_TIME_STEP."""
+    sim = config.get("sim")
+    return isinstance(sim, dict) and any(type(v) is float and 0.0 < v < MIN_TIME_STEP for v in sim.values())
 
 
 def assert_finite_csv(path):
@@ -94,6 +101,8 @@ def assert_finite_json(path):
 # A desired force whose norm overflowed reached the singularity handlers as
 # the zero vector, and angle_between's ValueError exited 1.
 @example(config={"vehicle": {"m": 1e300}}, experiment="hover", duration=0.01)
+# A time step of 1e-300 s never finished, or asked for a log of 1e301 rows.
+@example(config={"sim": {"dt_physics": 1e-300, "dt_control": 1e-300}}, experiment="hover", duration=0.01)
 @given(config=st.one_of(run_config(valid=True), run_config(valid=False)), experiment=st.sampled_from(cli.EXPERIMENTS),
        duration=st.sampled_from([0.0, 0.01, 0.03]))
 def test_simulate_never_exits_1_or_raises(config, experiment, duration):
@@ -115,6 +124,9 @@ def test_simulate_never_exits_1_or_raises(config, experiment, duration):
             status = cli.main(["simulate", "--experiment", experiment, "--config", path, "--out", out])
         message = err.getvalue()
         event(f"exit {status}")
+        if below_floor(config):
+            event("time step below the floor")
+            assert status == 2, message
         if status == 0:
             assert_finite_csv(os.path.join(out, f"{experiment}_log.csv"))
             assert_finite_json(os.path.join(out, f"{experiment}_summary.json"))

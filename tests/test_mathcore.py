@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from omnidyn.mathcore import (
     angle_between,
+    axis_rotation,
     cross,
     hat,
     is_rotation,
@@ -208,3 +209,66 @@ def test_rotation_to_quat_low_trace_branches():
         R = rotation_from_axis_angle(axis, np.pi - 1e-3)
         q = rotation_to_quat(R)
         assert_allclose(quat_to_rotation(q), R, atol=1e-9)
+
+
+def quat_numpy(R):
+    """rotation_to_quat as it was written in numpy, the reference for the float form."""
+    t = R.trace()
+    if t > 0.0:
+        s = np.sqrt(t + 1.0) * 2.0
+        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
+    else:
+        i = int(R.diagonal().argmax())
+        j, k = (i + 1) % 3, (i + 2) % 3
+        s = np.sqrt(R[i, i] - R[j, j] - R[k, k] + 1.0) * 2.0
+        q = np.empty(4)
+        q[0] = (R[k, j] - R[j, k]) / s
+        q[1 + i] = 0.25 * s
+        q[1 + j] = (R[j, i] + R[i, j]) / s
+        q[1 + k] = (R[k, i] + R[i, k]) / s
+    if q[0] < 0.0:
+        q = -q
+    return q
+
+
+def test_rotation_to_quat_matches_the_numpy_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    branches = set()
+    rotations = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+    # Half turns 2 n n^T - I whose largest diagonal entries tie: argmax takes the first.
+    for n in ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]):
+        n = np.array(n)
+        rotations.append(2.0 * np.outer(n, n) / (n @ n) - np.eye(3))
+    for n in range(20000):
+        axis = rng.normal(size=3)
+        if n % 4:
+            # Near-pi turns about a nearly principal axis reach each argmax branch.
+            axis = np.eye(3)[n % 4 - 1] + 10.0 ** rng.uniform(-9, 0) * axis
+            angle = np.pi - 10.0 ** rng.uniform(-12, 0.5)
+        else:
+            angle = rng.uniform(-np.pi, np.pi)
+        rotations.append(rotation_from_axis_angle(axis / np.linalg.norm(axis), angle))
+    for R in rotations:
+        expected = quat_numpy(R)
+        assert isinstance(rotation_to_quat(R), np.ndarray)
+        assert np.array_equal(rotation_to_quat(R), expected)
+        assert np.array_equal(np.signbit(rotation_to_quat(R)), np.signbit(expected))
+        branches.add("t > 0" if R.trace() > 0.0 else f"i = {int(R.diagonal().argmax())}")
+    assert branches == {"t > 0", "i = 0", "i = 1", "i = 2"}
+
+
+def rodrigues_numpy(axis, angle):
+    """rotation_from_axis_angle as it was written before the per-axis cache."""
+    K = hat(axis)
+    return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+
+
+def test_axis_rotation_matches_rodrigues_bit_for_bit():
+    rng = np.random.default_rng(13)
+    axes = [np.eye(3)[k] for k in range(3)] + [a / np.linalg.norm(a) for a in rng.normal(size=(20, 3))]
+    for axis in axes:
+        rotation = axis_rotation(axis)
+        for angle in [0.0, np.pi / 2.0, np.pi, 2.0 * np.pi, *rng.uniform(-7.0, 7.0, 50)]:
+            expected = rodrigues_numpy(axis, angle)
+            assert np.array_equal(rotation(angle), expected)
+            assert np.array_equal(rotation_from_axis_angle(axis, angle), expected)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from omnidyn.controller import Gains
 from omnidyn.simulation import (
     LOG_FIELDS,
+    MIN_TIME_STEP,
     SimConfig,
     SimLog,
     SimulationDiverged,
@@ -31,6 +32,12 @@ def test_sim_config_validates_rates():
         SimConfig(dt_physics=0.0, dt_control=0.005)
     with pytest.raises(ValueError):
         SimConfig(dt_physics=0.002, dt_control=0.005)  # not an integer multiple
+    SimConfig(dt_physics=MIN_TIME_STEP, dt_control=5 * MIN_TIME_STEP)
+    for tiny in (1e-300, 0.5 * MIN_TIME_STEP):
+        with pytest.raises(ValueError, match="at least"):
+            SimConfig(dt_physics=tiny, dt_control=0.005)
+        with pytest.raises(ValueError, match="at least"):
+            SimConfig(dt_physics=tiny, dt_control=tiny)
 
 
 def test_log_layout_is_consistent():
@@ -97,6 +104,8 @@ def test_simulate_diverged_carries_partial_log():
     log = excinfo.value.log
     assert isinstance(log, SimLog)
     assert log.data.shape[0] >= 1
+    k = log.data.shape[0] - 1
+    assert f"in control tick {k} (t = {log.column('t')[-1]:.9g} s)" in str(excinfo.value)
     # the partial log still carries the pre-divergence plant state
     assert np.all(np.isfinite(log.column("x")))
     assert np.all(np.isfinite(log.column("q")))

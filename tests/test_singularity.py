@@ -12,6 +12,7 @@ from omnidyn.singularity import (
     arm_alignment,
     damping_multiplier,
     derivative_allocation,
+    singular_angles,
     tilt_bias_multiplier,
     z_misalignment,
 )
@@ -130,6 +131,32 @@ def test_array_gains_match_per_arm_scalars_bit_for_bit():
         eta_arr = arm_alignment(F, np.arange(6), p)
         assert np.array_equal(eta_arr, eta)
         assert np.array_equal(damping_multiplier(eta_arr, sp), [gain(e) for e in eta])
+
+
+def test_singular_angles_match_the_per_family_functions_bit_for_bit():
+    """One angle_between over the 14 singular lines gives the bits of
+    z_misalignment and of arm_alignment(F, i, p) for every arm."""
+    p = VehicleParams(gamma=np.arange(6) * np.pi / 3.0 + 0.1)
+    lines = p.singular_lines
+    assert lines.shape == (14, 3)
+    z = np.array([0.0, 0.0, 1.0])
+    assert np.array_equal(np.signbit(lines[1]), np.signbit(-z))
+    assert np.array_equal(np.signbit(lines[8:]), np.signbit(-p.arm_axes))
+
+    rng = np.random.default_rng(10)
+    # Random directions, the lines themselves, and directions within 1e-6 rad of each.
+    tilt = rng.uniform(0.0, 1e-6, 14 * 50)
+    kick = rng.normal(size=(14 * 50, 3))
+    base = np.repeat(lines, 50, axis=0)
+    kick -= np.sum(kick * base, axis=1)[:, None] * base
+    kick /= np.linalg.norm(kick, axis=1)[:, None]
+    near = np.cos(tilt)[:, None] * base + np.sin(tilt)[:, None] * kick
+    dirs = rng.normal(size=(20000, 3))
+    dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1)[:, None], lines, near])
+    for F in dirs:
+        phi_z, eta = singular_angles(F, p)
+        assert np.array_equal(phi_z, z_misalignment(F))
+        assert np.array_equal(eta, [arm_alignment(F, i, p) for i in range(6)])
 
 
 def test_damping_passthrough_when_inactive():

@@ -359,3 +359,45 @@ def test_integrate_step_raises_on_non_finite():
     bad = Wrench(F=np.array([np.inf, 0.0, 0.0]), tau=np.zeros(3))
     with np.errstate(all="ignore"), pytest.raises(RuntimeError):
         integrate_step(state, bad, 0.001, p)
+
+
+def states_equal(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) and
+               np.array_equal(np.signbit(getattr(a, f)), np.signbit(getattr(b, f)))
+               for f in ("x", "v", "R", "omega_b"))
+
+
+def test_integrate_step_n_steps_equals_n_single_calls_bit_for_bit():
+    p = VehicleParams(m=3.7, J_b=np.diag([0.07, 0.09, 0.15]))
+    rng = np.random.default_rng(14)
+    axis = rng.normal(size=3)
+    start = RigidBodyState(x=rng.normal(size=3), v=rng.normal(size=3),
+                           R=rotation_from_axis_angle(axis / np.linalg.norm(axis), 2.0),
+                           omega_b=3.0 * rng.normal(size=3))
+    wrench = Wrench(F=np.array([3.0, -2.0, 40.0]), tau=np.array([0.3, -0.1, 0.05]))
+    for n in (1, 2, 5, 7):
+        single = start
+        for _ in range(n):
+            single = integrate_step(single, wrench, 1.0e-3, p)
+        assert states_equal(integrate_step(start, wrench, 1.0e-3, p, n), single)
+    assert states_equal(integrate_step(start, wrench, 1.0e-3, p, 0), start)
+
+
+def test_integrate_step_n_steps_raises_when_a_later_step_diverges():
+    """A wrench that keeps the first steps finite and overflows a later one
+    raises the same RuntimeError from a multi-step call."""
+    p = VehicleParams()
+    start = RigidBodyState(v=np.array([2.95e307, 0.0, 0.0]))
+    wrench = Wrench(F=np.array([1e308, 0.0, 0.0]), tau=np.zeros(3))
+    dt = 0.01
+    state, finite = start, 0
+    with pytest.raises(RuntimeError, match="non-finite"):
+        while True:
+            state = integrate_step(state, wrench, dt, p)
+            finite += 1
+    assert finite >= 2
+    assert states_equal(integrate_step(start, wrench, dt, p, finite), state)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        integrate_step(start, wrench, dt, p, finite + 1)
+    with pytest.raises(RuntimeError, match="non-finite"):
+        integrate_step(start, wrench, dt, p, finite + 5)
