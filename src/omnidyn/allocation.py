@@ -15,11 +15,14 @@ sits on arm vehicle.ARM[j], upper rotors 0-5 first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import wrap_angle
+# allocate wraps its tilt steps on floats; wrap_angle stays bound here because
+# perfbench/tracer.py looks it up in this module.
+from .mathcore import wrap_angle  # noqa: F401
 from .singularity import (
     SingularityParams,
     apply_damping_and_unwind,
@@ -37,23 +40,26 @@ from .vehicle import VehicleParams, build_A_alpha, rotor_columns
 # Pair magnitudes below this fraction of the largest arm's are treated as
 # zero in the tilt-angle extraction (the angle is no longer informative).
 DEGENERATE_REL_TOL = 1e-9
+TWO_PI = 2.0 * math.pi
 
 
 def extract_tilt_angles(u, alpha_prev):
     """One tilt angle per arm from the summed sin/cos products of its rotor pair.
 
     Arms whose summed pair is degenerate (zero magnitude relative to the
-    largest arm) hold their previous angle.
+    largest arm) hold their previous angle. The pair sums, np.hypot and
+    np.arctan2 run in numpy (math.hypot and math.atan2 round differently);
+    the threshold and the hold run on Python floats. Returns an ndarray.
     """
     u = np.asarray(u, dtype=float)
-    alpha_prev = np.asarray(alpha_prev, dtype=float)
     S = u[0::4] + u[2::4]
     C = u[1::4] + u[3::4]
-    mag = np.hypot(S, C)
-    thr = DEGENERATE_REL_TOL * mag.max()
-    alpha_des = np.arctan2(S, C)
-    hold = mag <= thr
-    return np.where(hold, alpha_prev, alpha_des)
+    mag = np.hypot(S, C).tolist()
+    alpha_des = np.arctan2(S, C).tolist()
+    # The magnitudes are nonnegative, so their sum is NaN exactly when one of
+    # them is; mag.max() is NaN then, and no arm holds.
+    thr = math.nan if math.isnan(sum(mag)) else DEGENERATE_REL_TOL * max(mag)
+    return np.array([prev if m <= thr else a for prev, m, a in zip(alpha_prev, mag, alpha_des)], dtype=float)
 
 
 def extract_rotor_speeds(u, alpha, params: VehicleParams):
@@ -61,14 +67,24 @@ def extract_rotor_speeds(u, alpha, params: VehicleParams):
 
     Negative projections mean the commanded angle points away from the
     rotor's requested thrust; those speeds clamp to zero, and all speeds
-    clamp to Omega_max.
+    clamp to Omega_max. Runs on Python floats and returns an ndarray in
+    rotor order (upper rotors 0-5, then lower rotors 6-11).
     """
-    u = np.asarray(u, dtype=float).reshape(6, 4)
-    alpha = np.asarray(alpha, dtype=float)[:, None]
-    # Rows are arms, columns upper and lower rotor; transposed to rotor order.
-    Omega = (np.sin(alpha) * u[:, 0::2] + np.cos(alpha) * u[:, 1::2]).T.ravel()
-    # ndarray.clip, like np.clip, keeps a -0.0 projection as -0.0.
-    return Omega.clip(0.0, params.Omega_max)
+    u = np.asarray(u, dtype=float).tolist()
+    hi = params.Omega_max
+    Omega = [0.0] * 12
+    for i, a in enumerate(alpha):
+        if a - a == 0.0:
+            s, c = math.sin(a), math.cos(a)
+        else:
+            # np.sin and np.cos of inf or NaN give the NaN a - a; math.sin raises.
+            s = c = a - a
+        # The clamp of ndarray.clip: NaN stays NaN and a -0.0 projection stays -0.0.
+        w = s * u[4 * i] + c * u[4 * i + 1]
+        Omega[i] = 0.0 if w < 0.0 else hi if w > hi else w
+        w = s * u[4 * i + 2] + c * u[4 * i + 3]
+        Omega[i + 6] = 0.0 if w < 0.0 else hi if w > hi else w
+    return np.array(Omega)
 
 
 @dataclass
@@ -101,25 +117,32 @@ class Allocator:
         alpha_prev = np.asarray(alpha_prev, dtype=float)
 
         u = params.A_pinv @ w_des
-        alpha_des = extract_tilt_angles(u, alpha_prev)
-        delta = wrap_angle(alpha_des - alpha_prev)
+        prev = alpha_prev.tolist()
+        alpha_des = extract_tilt_angles(u, prev)
+        # wrap_angle(alpha_des - alpha_prev), on floats.
+        delta = []
+        for a, p in zip(alpha_des.tolist(), prev):
+            d = (a - p + math.pi) % TWO_PI - math.pi
+            delta.append(math.pi if d == -math.pi else d)
 
         k_t = 0.0
-        k_alpha = np.zeros(6)
+        k_alpha = [0.0] * 6
         F = w_des[:3]
-        F_norm = np.linalg.norm(F)
+        # np.linalg.norm(F) is this square root of F.dot(F).
+        F_norm = math.sqrt(F.dot(F))
         sp = self.sing_params
         # A force too small, or one whose norm overflows, has no usable direction.
-        if sp is not None and 1e-6 * params.m * params.g_mag <= F_norm < np.inf:
+        if sp is not None and 1e-6 * params.m * params.g_mag <= F_norm < math.inf:
             phi_z, eta = singular_angles(F / F_norm, params)
             k_t = tilt_bias_multiplier(phi_z, sp)
             delta = apply_tilt_bias(delta, k_t, sp)
             k_alpha = damping_multiplier(eta, sp)
-            delta = apply_damping_and_unwind(delta, k_alpha, alpha_prev, sp, dt)
+            delta = apply_damping_and_unwind(delta, k_alpha, prev, sp, dt)
 
+        # Rate limit, as delta.clip(-limit, limit).
         limit = params.alpha_dot_max * dt
-        alpha_cmd = alpha_prev + delta.clip(-limit, limit)
+        alpha_cmd = [p + (-limit if d < -limit else limit if d > limit else d) for p, d in zip(prev, delta)]
         Omega_cmd = extract_rotor_speeds(u, alpha_cmd, params)
-        return ActuatorCommand(alpha_cmd=alpha_cmd, Omega_cmd=Omega_cmd,
-                               alpha_des=alpha_des, k_t=k_t, k_alpha=k_alpha)
+        return ActuatorCommand(alpha_cmd=np.array(alpha_cmd), Omega_cmd=Omega_cmd,
+                               alpha_des=alpha_des, k_t=k_t, k_alpha=np.array(k_alpha))
 

@@ -181,6 +181,10 @@ def main(argv=None) -> int:
     }
     try:
         status = handlers[args.command](args, cfg, out_dir)
+    except ConfigError as exc:
+        # simulate refuses a run whose log would be too long before its first tick.
+        print(f"omnidyn: config error: {exc}", file=sys.stderr)
+        return 2
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"omnidyn: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -14,13 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import Gains
-from .simulation import SimConfig
+# ConfigError is defined next to SimConfig, so that simulate can raise it too.
+from .simulation import ConfigError, SimConfig
 from .singularity import SingularityParams
 from .vehicle import VehicleParams
-
-
-class ConfigError(Exception):
-    """Invalid or unreadable run configuration."""
 
 
 # Parameters that are plausible placeholders, not physically measured values.

@@ -78,9 +78,10 @@ def angle_between(a, b):
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na = np.sqrt(np.vecdot(a, a))
+    na = math.sqrt(np.vecdot(a, a))
     nb = np.sqrt(np.vecdot(b, b))
-    if na == 0.0 or (nb == 0.0).any():
+    # nb.all() is False exactly when some norm is zero (NaN counts as true).
+    if na == 0.0 or not nb.all():
         raise ValueError("angle_between: zero-length vector has no direction")
     return np.arccos((np.vecdot(b, a) / (na * nb)).clip(-1.0, 1.0))
 

@@ -8,6 +8,7 @@ deterministic: no randomness, no wall-clock dependence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,6 +24,20 @@ from .vehicle import RigidBodyState, VehicleParams, Wrench, integrate_step
 # Smallest accepted time step, s. Far below any control or physics rate;
 # it keeps the number of physics steps and log rows of a run finite.
 MIN_TIME_STEP = 1e-6
+# Largest log simulate accepts, in rows (control ticks + 1): 1e6 rows of the
+# LOG_FIELDS columns hold about 570 MB. The longest experiment at the
+# default 200 Hz control rate logs 3201 rows.
+MAX_LOG_ROWS = 1_000_000
+# Rows that write_csv formats and writes at a time.
+CSV_BLOCK_ROWS = 64
+
+
+class ConfigError(Exception):
+    """Invalid or unreadable run configuration (the CLI exits 2).
+
+    Raised by the loader in omnidyn.config, and by simulate for a run whose
+    log would pass MAX_LOG_ROWS.
+    """
 
 
 @dataclass
@@ -63,11 +78,19 @@ LOG_FIELDS = (
 
 
 def write_csv(path, header, rows):
-    """Header line, then one line per row of shortest round-trip floats."""
+    """Header line, then one line per row of shortest round-trip floats.
+
+    Each block of CSV_BLOCK_ROWS rows goes through ndarray.tolist, so every
+    value is a Python float whose repr is its shortest round-trip form, and
+    is written with one call. Formatting the whole table at once held about
+    18 MB more for the cartwheel log; a block holds about 0.1 MB.
+    """
+    rows = np.asarray(rows, dtype=float)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
 
 
 def log_column_names():
@@ -116,10 +139,17 @@ class SimulationDiverged(RuntimeError):
 def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
              sing_params: SingularityParams | None = None,
              config: SimConfig | None = None) -> SimLog:
-    """Run the controller/allocation/plant loop over a trajectory."""
+    """Run the controller/allocation/plant loop over a trajectory.
+
+    Raises ConfigError, before the first tick, when the log would have more
+    than MAX_LOG_ROWS rows.
+    """
     config = config or SimConfig()
     duration = config.duration if config.duration is not None else trajectory.duration
     n_ticks = int(round(duration / config.dt_control))
+    if n_ticks + 1 > MAX_LOG_ROWS:
+        raise ConfigError(f"a run of {duration:g} s at dt_control {config.dt_control:g} s logs "
+                          f"{n_ticks + 1} rows, more than the {MAX_LOG_ROWS} allowed")
     steps_per_tick = int(round(config.dt_control / config.dt_physics))
 
     allocator = Allocator(params, sing_params)
@@ -146,7 +176,9 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
         realized = A_alpha @ cmd.Omega_cmd
         thrusts = params.c_f * cmd.Omega_cmd
         thrust_sum = float(thrusts.sum())
-        eta_f = float(np.linalg.norm(realized[:3]) / thrust_sum) if thrust_sum > 0.0 else 0.0
+        F = realized[:3]
+        # math.sqrt(F.dot(F)) is np.linalg.norm(F), without its dispatch.
+        eta_f = math.sqrt(F.dot(F)) / thrust_sum if thrust_sum > 0.0 else 0.0
 
         # One flat list of Python floats, in LOG_FIELDS order.
         rows[k] = [
@@ -162,7 +194,7 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
 
         if k == n_ticks:
             break
-        plant_wrench = Wrench(F=realized[:3], tau=realized[3:])
+        plant_wrench = Wrench(F=F, tau=realized[3:])
         try:
             state = integrate_step(state, plant_wrench, config.dt_physics, params, steps_per_tick)
         except RuntimeError as exc:

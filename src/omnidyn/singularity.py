@@ -78,8 +78,13 @@ def tilt_bias_multiplier(phi, params: SingularityParams):
 
 
 def apply_tilt_bias(delta_alpha, k_t, params: SingularityParams):
-    """Add the alternating bias offsets k_t * b_i * c_t to each arm's tilt step."""
-    return np.asarray(delta_alpha, dtype=float) + k_t * params.b * params.c_t
+    """Add the alternating bias offsets k_t * b_i * c_t to each arm's tilt step.
+
+    Python floats in, a list of floats out; each offset is formed in the
+    order numpy's k_t * b * c_t takes.
+    """
+    c_t = params.c_t
+    return [d + k_t * b * c_t for d, b in zip(delta_alpha, params.b.tolist())]
 
 
 def arm_alignment(F_dir, arm_index, params: VehicleParams):
@@ -95,25 +100,34 @@ def arm_alignment(F_dir, arm_index, params: VehicleParams):
 
 def singular_angles(F_dir, params: VehicleParams):
     """(z_misalignment(F_dir), arm_alignment(F_dir, arange(6), params)) from
-    one angle_between call over params.singular_lines.
+    one angle_between call over params.singular_lines, as floats and a list
+    of six floats.
 
     The rows are the vectors the two functions use, with the same signed
     zeros, and stacked rows give each angle bit for bit, so both results
-    equal theirs.
+    equal theirs. The angles lie in [0, pi] and are never -0.0, so min
+    picks what np.minimum picks.
     """
-    angles = angle_between(F_dir, params.singular_lines)
-    return _nearest_z_family(angles[0], angles[1]), np.minimum(angles[2:8], angles[8:])
+    angles = angle_between(F_dir, params.singular_lines).tolist()
+    return (_nearest_z_family(angles[0], angles[1]),
+            [min(a, b) for a, b in zip(angles[2:8], angles[8:])])
 
 
 def damping_multiplier(eta, params: SingularityParams):
     """Damping gain k_alpha: 1 (frozen) up to phi_0, quadratic ramp to 0 at phi_d.
 
-    Elementwise over an array of angles. The square goes through pow, as
-    a Python float's ** 2 does, so a gain does not depend on whether its
-    angle came alone or in an array.
+    One angle gives a float; a sequence of angles gives a list with one
+    gain per angle. The ramp is clipped as ndarray.clip clips (NaN stays
+    NaN) and squared through pow, as np.float_power does, so the gains
+    are those of the array formula bit for bit.
     """
-    ramp = 1.0 - (np.asarray(eta) - params.phi_0) / (params.phi_d - params.phi_0)
-    return np.float_power(ramp.clip(0.0, 1.0), 2.0)
+    phi_0, span = params.phi_0, params.phi_d - params.phi_0
+    scalar = isinstance(eta, (float, int, np.number))
+    gains = []
+    for e in (eta,) if scalar else eta:
+        ramp = 1.0 - (e - phi_0) / span
+        gains.append((0.0 if ramp < 0.0 else 1.0 if ramp > 1.0 else ramp) ** 2.0)
+    return float(gains[0]) if scalar else gains
 
 
 def apply_damping_and_unwind(delta_alpha_tilde, k_alpha, alpha_prev, params: SingularityParams, dt):
@@ -122,18 +136,28 @@ def apply_damping_and_unwind(delta_alpha_tilde, k_alpha, alpha_prev, params: Sin
     The unwinding term moves a damped arm toward zero tilt at rate
     k_alpha * omega_u. If that term alone would push the angle past
     zero, the angle is clamped to exactly zero instead of oscillating.
-    Returns the final tilt steps delta_alpha_star.
-    """
-    delta_alpha_tilde = np.asarray(delta_alpha_tilde, dtype=float)
-    k_alpha = np.asarray(k_alpha, dtype=float)
-    alpha_prev = np.asarray(alpha_prev, dtype=float)
+    Takes sequences of six floats and returns the final tilt steps
+    delta_alpha_star as a list, with the bits of the array formula
 
-    damped = delta_alpha_tilde * (1.0 - k_alpha)
-    unwind = -np.sign(alpha_prev) * k_alpha * params.omega_u * dt
-    base = alpha_prev + damped
-    crossing = (np.sign(base) == np.sign(alpha_prev)) & (np.abs(unwind) >= np.abs(base)) & (alpha_prev != 0.0)
-    new = np.where(crossing, 0.0, base + unwind)
-    return new - alpha_prev
+        unwind = -sign(alpha_prev) * k_alpha * omega_u * dt
+        base = alpha_prev + delta_alpha_tilde * (1 - k_alpha)
+        crossing = sign(base) == sign(alpha_prev) & |unwind| >= |base| & alpha_prev != 0
+        delta_alpha_star = where(crossing, 0, base + unwind) - alpha_prev
+
+    with np.sign, which maps both zeros to +0.0 and NaN to itself.
+    """
+    omega_u = params.omega_u
+    steps = []
+    for d, k, prev in zip(delta_alpha_tilde, k_alpha, alpha_prev):
+        # -np.sign(prev): -1, 1, -0.0 for either zero, or the NaN negated.
+        neg_sign = -1.0 if prev > 0.0 else 1.0 if prev < 0.0 else -0.0 if prev == 0.0 else -prev
+        unwind = neg_sign * k * omega_u * dt
+        base = prev + d * (1.0 - k)
+        # Equal signs with prev != 0 (a NaN sign equals nothing): both positive or both negative.
+        same_side = base > 0.0 if prev > 0.0 else base < 0.0 if prev < 0.0 else False
+        crossing = same_side and abs(unwind) >= abs(base)
+        steps.append((0.0 if crossing else base + unwind) - prev)
+    return steps
 
 
 def derivative_allocation(params: VehicleParams, alpha, Omega):

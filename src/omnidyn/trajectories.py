@@ -32,9 +32,13 @@ class Trajectory:
 def quintic_blend(t, T):
     """Smooth 0 -> 1 blend with zero boundary velocity and acceleration.
 
-    Returns (s, s_dot, s_ddot) at time t for a blend of duration T.
+    Returns (s, s_dot, s_ddot) at time t for a blend of duration T, as
+    Python floats. sigma = t / T is clamped to [0, 1] as np.clip clamps
+    (NaN stays NaN), and the powers go through pow as numpy's do, so the
+    values are those of the numpy formula bit for bit.
     """
-    sigma = np.clip(t / T, 0.0, 1.0)
+    sigma = t / T
+    sigma = 0.0 if sigma < 0.0 else 1.0 if sigma > 1.0 else sigma
     s = sigma**3 * (10.0 - 15.0 * sigma + 6.0 * sigma**2)
     s_dot = 30.0 * sigma**2 * (1.0 - sigma) ** 2 / T
     s_ddot = 60.0 * sigma * (1.0 - 3.0 * sigma + 2.0 * sigma**2) / T**2

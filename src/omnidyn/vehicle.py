@@ -10,6 +10,7 @@ squared speeds in (rad/s)^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +82,15 @@ class VehicleParams:
             raise ValueError("mass must be positive and not subnormal")
         if self.g_mag < tiny:
             raise ValueError("g must be positive and not subnormal")
-        if not tiny <= self.m * self.g_mag < math.inf:
-            raise ValueError("weight m * g must be a normal float (it underflows or overflows)")
+        # The allocation squares forces the size of the weight, so the square
+        # of m * g must be finite too: m of 1e300 overflowed F.dot(F).
+        if not tiny <= self.m * self.g_mag < math.sqrt(sys.float_info.max):
+            raise ValueError("weight m * g must be a normal float whose square is finite "
+                             "(it underflows or overflows)")
+        # A subnormal thrust coefficient makes A^+ so large that the rotor-pair
+        # sums of a hover wrench overflow (c_f of 2.2e-308).
+        if self.c_f < tiny:
+            raise ValueError("c_f must be positive and not subnormal")
         if self.J_b.shape != (3, 3):
             raise ValueError("J_b must be 3x3")
         if np.any(np.diag(self.J_b) < tiny) or np.max(np.abs(self.J_b - np.diag(np.diag(self.J_b)))) > 0.0:
@@ -196,37 +204,6 @@ def _exp_coefficients(t0, t1, t2):
     return math.sin(n) / n, 0.5 * s * s
 
 
-def _stage(R, f, g_mag, tau, J, w, t):
-    """One RKMK stage at body rate w and stage rotation R exp(hat(t)).
-
-    Returns the inertial acceleration R exp(hat(t)) f - g e_z, the Lie
-    algebra increment dexp^-1_t(w) truncated after its third term,
-    w + t x w / 2 + t x (t x w) / 12, and the Euler rate
-    J^-1 (tau - w x J w).
-    """
-    t0, t1, t2 = t
-    a, b = _exp_coefficients(t0, t1, t2)
-    f0, f1, f2 = f
-    # exp(hat(t)) f = f + a t x f + b t x (t x f)
-    c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
-    d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-    u0, u1, u2 = f0 + a * c0 + b * d0, f1 + a * c1 + b * d1, f2 + a * c2 + b * d2
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
-    acc = (r00 * u0 + r01 * u1 + r02 * u2,
-           r10 * u0 + r11 * u1 + r12 * u2,
-           r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
-    w0, w1, w2 = w
-    c0, c1, c2 = t1 * w2 - t2 * w1, t2 * w0 - t0 * w2, t0 * w1 - t1 * w0
-    d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-    K = (w0 + 0.5 * c0 + d0 / 12.0, w1 + 0.5 * c1 + d1 / 12.0, w2 + 0.5 * c2 + d2 / 12.0)
-    J0, J1, J2 = J
-    h0, h1, h2 = J0 * w0, J1 * w1, J2 * w2
-    w_dot = ((tau[0] - (w1 * h2 - w2 * h1)) / J0,
-             (tau[1] - (w2 * h0 - w0 * h2)) / J1,
-             (tau[2] - (w0 * h1 - w1 * h0)) / J2)
-    return acc, K, w_dot
-
-
 def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehicleParams,
                    n_steps=1) -> RigidBodyState:
     """Advance the rigid body by n_steps steps of dt under a held body thrust wrench.
@@ -234,65 +211,140 @@ def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehiclePar
     Each step is one fourth-order Runge-Kutta-Munthe-Kaas step (RKMK4)
     on SO(3) x R^9, in Python floats. omega_b, x and v take classical
     RK4 steps; R becomes R exp(hat(theta)), with theta the RK4
-    combination of the dexp^-1 stage increments. The stage accelerations
-    use the stage rotations R exp(hat(theta_i)). R stays in SO(3) through
+    combination of the dexp^-1 stage increments. R stays in SO(3) through
     the exp map, with no re-orthonormalization. The wrench argument is
     thrust only; gravity acts along inertial -z. The state stays in
     floats between steps, so n_steps steps give the same bits as n_steps
-    single calls, and one RigidBodyState is built at the end. Raises
-    RuntimeError as soon as a step produces non-finite values.
+    single calls. Raises RuntimeError when a step produces non-finite
+    values (checked once, after the last step); the RigidBodyState built
+    at the end is made from these checked floats without a second check.
+
+    Stage i (c = 0, 1/2, 1/2, 1) evaluates at rotation R exp(hat(t_i)) and
+    body rate w_i, with t_i = c_i dt K_{i-1} and w_i = omega + c_i dt k_{i-1}:
+    the acceleration R exp(hat(t_i)) f - g e_z, with exp(hat(t)) f =
+    f + a t x f + b t x (t x f); the Lie algebra increment K_i =
+    dexp^-1_t(w_i) truncated after its third term, w_i + t_i x w_i / 2 +
+    t_i x (t_i x w_i) / 12; and the Euler rate k_i = J^-1 (tau - w_i x J w_i).
+    The four stages are written out in the loop.
     """
     x0, x1, x2 = state.x.tolist()
     v0, v1, v2 = state.v.tolist()
     w0, w1, w2 = state.omega_b.tolist()
-    R = state.R.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = state.R.tolist()
     m, g_mag = params.m, params.g_mag
     F0, F1, F2 = wrench.F.tolist()
-    f = (F0 / m, F1 / m, F2 / m)
-    tau, J = wrench.tau.tolist(), params.J_b.diagonal().tolist()
+    f0, f1, f2 = F0 / m, F1 / m, F2 / m
+    tau0, tau1, tau2 = wrench.tau.tolist()
+    J0, J1, J2 = params.J_b.diagonal().tolist()
     half = 0.5 * dt
     sixth = dt / 6.0
+    # Stage 1 has t = 0, so exp(hat(t)) has a = 1 and b = 1/2 and its
+    # q = exp(hat(t)) f is the same in every step. The zero cross products are
+    # still formed: they can flip the sign of a zero entry of f.
+    t0 = t1 = t2 = 0.0
+    c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
+    d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+    q0, q1, q2 = f0 + 1.0 * c0 + 0.5 * d0, f1 + 1.0 * c1 + 0.5 * d1, f2 + 1.0 * c2 + 0.5 * d2
 
     for _ in range(n_steps):
-        # Stage i: theta_i = c_i dt K_{i-1}, omega_i = omega + c_i dt k_{i-1},
-        # v_i = v + c_i dt a_{i-1}, with c = (0, 1/2, 1/2, 1).
-        a1, K1, k1 = _stage(R, f, g_mag, tau, J, (w0, w1, w2), (0.0, 0.0, 0.0))
-        a2, K2, k2 = _stage(R, f, g_mag, tau, J, (w0 + half * k1[0], w1 + half * k1[1], w2 + half * k1[2]),
-                            (half * K1[0], half * K1[1], half * K1[2]))
-        a3, K3, k3 = _stage(R, f, g_mag, tau, J, (w0 + half * k2[0], w1 + half * k2[1], w2 + half * k2[2]),
-                            (half * K2[0], half * K2[1], half * K2[2]))
-        a4, K4, k4 = _stage(R, f, g_mag, tau, J, (w0 + dt * k3[0], w1 + dt * k3[1], w2 + dt * k3[2]),
-                            (dt * K3[0], dt * K3[1], dt * K3[2]))
+        # Stage 1: t = 0 and w = omega.
+        t0 = t1 = t2 = 0.0
+        p0, p1, p2 = w0, w1, w2
+        ax1, ay1, az1 = (r00 * q0 + r01 * q1 + r02 * q2, r10 * q0 + r11 * q1 + r12 * q2,
+                         r20 * q0 + r21 * q1 + r22 * q2 - g_mag)
+        c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
+        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+        Kx1, Ky1, Kz1 = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
+        h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
+        kx1, ky1, kz1 = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
+                         (tau2 - (p0 * h1 - p1 * h0)) / J2)
 
+        # Stage 2: t = half K1, w = omega + half k1.
+        t0, t1, t2 = half * Kx1, half * Ky1, half * Kz1
+        p0, p1, p2 = w0 + half * kx1, w1 + half * ky1, w2 + half * kz1
+        ea, eb = _exp_coefficients(t0, t1, t2)
+        c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
+        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+        u0, u1, u2 = f0 + ea * c0 + eb * d0, f1 + ea * c1 + eb * d1, f2 + ea * c2 + eb * d2
+        ax2, ay2, az2 = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2,
+                         r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
+        c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
+        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+        Kx2, Ky2, Kz2 = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
+        h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
+        kx2, ky2, kz2 = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
+                         (tau2 - (p0 * h1 - p1 * h0)) / J2)
+
+        # Stage 3: t = half K2, w = omega + half k2.
+        t0, t1, t2 = half * Kx2, half * Ky2, half * Kz2
+        p0, p1, p2 = w0 + half * kx2, w1 + half * ky2, w2 + half * kz2
+        ea, eb = _exp_coefficients(t0, t1, t2)
+        c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
+        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+        u0, u1, u2 = f0 + ea * c0 + eb * d0, f1 + ea * c1 + eb * d1, f2 + ea * c2 + eb * d2
+        ax3, ay3, az3 = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2,
+                         r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
+        c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
+        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+        Kx3, Ky3, Kz3 = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
+        h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
+        kx3, ky3, kz3 = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
+                         (tau2 - (p0 * h1 - p1 * h0)) / J2)
+
+        # Stage 4: t = dt K3, w = omega + dt k3.
+        t0, t1, t2 = dt * Kx3, dt * Ky3, dt * Kz3
+        p0, p1, p2 = w0 + dt * kx3, w1 + dt * ky3, w2 + dt * kz3
+        ea, eb = _exp_coefficients(t0, t1, t2)
+        c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
+        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+        u0, u1, u2 = f0 + ea * c0 + eb * d0, f1 + ea * c1 + eb * d1, f2 + ea * c2 + eb * d2
+        ax4, ay4, az4 = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2,
+                         r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
+        c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
+        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+        Kx4, Ky4, Kz4 = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
+        h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
+        kx4, ky4, kz4 = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
+                         (tau2 - (p0 * h1 - p1 * h0)) / J2)
         # x' = v: the stage velocities are v, v + dt/2 a1, v + dt/2 a2, v + dt a3.
-        x0, x1, x2 = (x0 + sixth * (6.0 * v0 + dt * (a1[0] + a2[0] + a3[0])),
-                      x1 + sixth * (6.0 * v1 + dt * (a1[1] + a2[1] + a3[1])),
-                      x2 + sixth * (6.0 * v2 + dt * (a1[2] + a2[2] + a3[2])))
-        v0, v1, v2 = (v0 + sixth * (a1[0] + 2.0 * a2[0] + 2.0 * a3[0] + a4[0]),
-                      v1 + sixth * (a1[1] + 2.0 * a2[1] + 2.0 * a3[1] + a4[1]),
-                      v2 + sixth * (a1[2] + 2.0 * a2[2] + 2.0 * a3[2] + a4[2]))
-        w0, w1, w2 = (w0 + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-                      w1 + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-                      w2 + sixth * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
-        t0 = sixth * (K1[0] + 2.0 * K2[0] + 2.0 * K3[0] + K4[0])
-        t1 = sixth * (K1[1] + 2.0 * K2[1] + 2.0 * K3[1] + K4[1])
-        t2 = sixth * (K1[2] + 2.0 * K2[2] + 2.0 * K3[2] + K4[2])
+        x0 = x0 + sixth * (6.0 * v0 + dt * (ax1 + ax2 + ax3))
+        x1 = x1 + sixth * (6.0 * v1 + dt * (ay1 + ay2 + ay3))
+        x2 = x2 + sixth * (6.0 * v2 + dt * (az1 + az2 + az3))
+        v0 = v0 + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+        v1 = v1 + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
+        v2 = v2 + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4)
+        w0 = w0 + sixth * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
+        w1 = w1 + sixth * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
+        w2 = w2 + sixth * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
+        t0 = sixth * (Kx1 + 2.0 * Kx2 + 2.0 * Kx3 + Kx4)
+        t1 = sixth * (Ky1 + 2.0 * Ky2 + 2.0 * Ky3 + Ky4)
+        t2 = sixth * (Kz1 + 2.0 * Kz2 + 2.0 * Kz3 + Kz4)
 
-        a, b = _exp_coefficients(t0, t1, t2)
+        ea, eb = _exp_coefficients(t0, t1, t2)
         # exp(hat(t)) = I + a hat(t) + b (t t^T - |t|^2 I)
         s00, s11, s22 = t0 * t0, t1 * t1, t2 * t2
-        s01, s02, s12 = b * t0 * t1, b * t0 * t2, b * t1 * t2
-        e00, e01, e02 = 1.0 - b * (s11 + s22), s01 - a * t2, s02 + a * t1
-        e10, e11, e12 = s01 + a * t2, 1.0 - b * (s00 + s22), s12 - a * t0
-        e20, e21, e22 = s02 - a * t1, s12 + a * t0, 1.0 - b * (s00 + s11)
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R
-        R = ((r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
-              r00 * e02 + r01 * e12 + r02 * e22),
-             (r10 * e00 + r11 * e10 + r12 * e20, r10 * e01 + r11 * e11 + r12 * e21,
-              r10 * e02 + r11 * e12 + r12 * e22),
-             (r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
-              r20 * e02 + r21 * e12 + r22 * e22))
+        s01, s02, s12 = eb * t0 * t1, eb * t0 * t2, eb * t1 * t2
+        e00, e01, e02 = 1.0 - eb * (s11 + s22), s01 - ea * t2, s02 + ea * t1
+        e10, e11, e12 = s01 + ea * t2, 1.0 - eb * (s00 + s22), s12 - ea * t0
+        e20, e21, e22 = s02 - ea * t1, s12 + ea * t0, 1.0 - eb * (s00 + s11)
+        r00, r01, r02 = (r00 * e00 + r01 * e10 + r02 * e20, r00 * e01 + r01 * e11 + r02 * e21,
+                         r00 * e02 + r01 * e12 + r02 * e22)
+        r10, r11, r12 = (r10 * e00 + r11 * e10 + r12 * e20, r10 * e01 + r11 * e11 + r12 * e21,
+                         r10 * e02 + r11 * e12 + r12 * e22)
+        r20, r21, r22 = (r20 * e00 + r21 * e10 + r22 * e20, r20 * e01 + r21 * e11 + r22 * e21,
+                         r20 * e02 + r21 * e12 + r22 * e22)
 
-        if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2, w0, w1, w2, *R[0], *R[1], *R[2]))):
-            raise RuntimeError(DIVERGED)
-    return RigidBodyState(x=(x0, x1, x2), v=(v0, v1, v2), R=R, omega_b=(w0, w1, w2))
+    # One check after the last step finds a value that any step made non-finite:
+    # no update turns inf or NaN back into a finite float (inf * 0 is NaN),
+    # and a non-finite rate raises in _exp_coefficients first.
+    if not all(map(math.isfinite, (x0, x1, x2, v0, v1, v2, w0, w1, w2,
+                                   r00, r01, r02, r10, r11, r12, r20, r21, r22))):
+        raise RuntimeError(DIVERGED)
+    # Every value was checked, so RigidBodyState's conversions and finiteness
+    # check are skipped.
+    result = object.__new__(RigidBodyState)
+    result.x = np.array((x0, x1, x2))
+    result.v = np.array((v0, v1, v2))
+    result.R = np.array(((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)))
+    result.omega_b = np.array((w0, w1, w2))
+    return result

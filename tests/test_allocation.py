@@ -1,6 +1,8 @@
 """Tests for the static allocation matrix and the allocation pipeline."""
 
+import array_formulas
 import numpy as np
+from array_formulas import same_bits
 import pytest
 from numpy.testing import assert_allclose
 
@@ -265,3 +267,92 @@ def test_pipeline_skips_handlers_when_the_force_norm_overflows():
         cmd = alc.allocate(w_des, np.zeros(6), 0.005)
     assert cmd.k_t == 0.0
     assert np.array_equal(cmd.k_alpha, np.zeros(6))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def test_extraction_matches_the_array_formulas_bit_for_bit(logged_ticks):
+    """extract_tilt_angles and extract_rotor_speeds on Python floats give
+    the bytes of the array formulas on every logged tick and on signed
+    zeros, a magnitude exactly at the hold threshold, and inf and NaN."""
+    p = VehicleParams()
+    cases = []
+    for allocator, w_des, alpha_prev, dt in logged_ticks["allocate"]:
+        u = allocator.params.A_pinv @ w_des
+        cases.append((u, alpha_prev, array_formulas.allocate(allocator.params, allocator.sing_params,
+                                                              w_des, alpha_prev, dt)[0]))
+    tie = np.zeros(24)
+    tie[0], tie[5] = 1.0, 1e-9      # arm 1's magnitude equals 1e-9 times arm 0's
+    above = tie.copy()
+    above[5] = np.nextafter(1e-9, 1.0)
+    signed = np.where(np.arange(24) % 3 == 0, -0.0, 0.0)
+    odd = embed(np.linspace(-3.0, 3.0, 6), np.linspace(0.2, 1.0, 12))
+    odd[[1, 6, 13]] = [INF, NAN, -INF]
+    prev = np.array([0.1, -0.0, 0.0, -2.5, 3.0, 1e-300])
+    weird = np.array([INF, -INF, NAN, -0.0, 0.0, 1e300])
+    for u in (tie, above, signed, np.full(24, -0.0), odd, np.full(24, NAN)):
+        cases += [(u, prev, prev), (u, weird, weird)]
+    assert same_bits(extract_tilt_angles(tie, prev)[1], prev[1])   # the tie holds
+    assert not same_bits(extract_tilt_angles(above, prev)[1], prev[1])
+    for u, alpha_prev, alpha in cases:
+        with np.errstate(all="ignore"):
+            assert same_bits(extract_tilt_angles(u, alpha_prev), array_formulas.extract_tilt_angles(u, alpha_prev))
+            assert same_bits(extract_rotor_speeds(u, alpha, p), array_formulas.extract_rotor_speeds(u, alpha, p))
+
+
+def prev_for_step(alpha_des, step):
+    """alpha_prev within a few ulps of alpha_des - step whose wrapped tilt step
+    (theta + pi) % 2 pi - pi, before the -pi fix, is exactly step."""
+    prev = alpha_des - step
+    for i in range(6):
+        for _ in range(64):
+            raw = (alpha_des[i] - prev[i] + np.pi) % (2.0 * np.pi) - np.pi
+            if raw == step:
+                break
+            prev[i] = np.nextafter(prev[i], -np.inf if raw < step else np.inf)
+        assert raw == step
+    return prev
+
+
+def allocate_edge_cases():
+    """(allocator, w_des, alpha_prev, dt): tilt steps exactly at the rate
+    limit and wraps landing exactly on -pi, signed zeros, infinite and NaN
+    wrenches, and rate limits of inf and 0 from extreme alpha_dot_max."""
+    p, sp = VehicleParams(), SingularityParams()
+    plain, handled = Allocator(p), Allocator(p, sp)
+    w = uniform_tilt_wrench(p, 0.4)
+    alpha_des = array_formulas.allocate(p, None, w, np.zeros(6), 0.005)[2]
+    # A wrapped step is x - pi for a float x, so it lies on the grid of
+    # [2, 4); at alpha_dot_max 1 the limit is dt itself.
+    limit = (np.pi + 0.03) - np.pi
+    unit_rate = Allocator(VehicleParams(alpha_dot_max=1.0))
+    cases = [(unit_rate, w, prev_for_step(alpha_des, step), limit) for step in (limit, -limit)]
+    cases.append((plain, w, prev_for_step(alpha_des, -np.pi), 0.005))
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0])
+    for allocator in (plain, handled):
+        cases += [(allocator, np.zeros(6), zeros, 0.005), (allocator, -np.zeros(6), np.zeros(6), 0.005),
+                  (allocator, np.array([0.0, -0.0, 40.0, 0.0, -0.0, 0.0]), zeros, 0.005),
+                  (allocator, np.array([INF, 0.0, 40.0, 0.0, 0.0, 0.0]), zeros, 0.005),
+                  (allocator, np.array([0.0, 0.0, 40.0, NAN, 0.0, 0.0]), zeros, 0.005),
+                  (allocator, np.array([1e300, 1e300, 40.0, 0.0, 0.0, 0.0]), zeros, 0.005)]
+    for rate in (1.7976931348623157e308, 5e-324):
+        fast = VehicleParams(alpha_dot_max=rate)
+        for allocator in (Allocator(fast), Allocator(fast, sp)):
+            cases += [(allocator, uniform_tilt_wrench(fast, 2.0), np.full(6, 0.1), 0.02),
+                      (allocator, np.array([40.0, 0.0, 0.0, 0.0, 0.0, 0.0]), np.full(6, -0.3), 0.02)]
+    return cases
+
+
+def test_allocate_matches_the_array_formulas_bit_for_bit(logged_ticks):
+    """Allocator.allocate, with its wrap, handlers and rate limit on Python
+    floats, gives the bytes of the array pipeline on every logged cartwheel
+    and scatter-like tick and on the edge cases."""
+    for allocator, w_des, alpha_prev, dt in logged_ticks["allocate"] + allocate_edge_cases():
+        with np.errstate(all="ignore"):
+            want = array_formulas.allocate(allocator.params, allocator.sing_params, w_des, alpha_prev, dt)
+            cmd = allocator.allocate(w_des, alpha_prev, dt)
+        got = (cmd.alpha_cmd, cmd.Omega_cmd, cmd.alpha_des, cmd.k_t, cmd.k_alpha)
+        for name, a, b in zip(("alpha_cmd", "Omega_cmd", "alpha_des", "k_t", "k_alpha"), got, want):
+            assert same_bits(a, b), name
+        assert all(isinstance(a, np.ndarray) for a in (cmd.alpha_cmd, cmd.Omega_cmd, cmd.alpha_des, cmd.k_alpha))

@@ -79,6 +79,8 @@ def test_bad_config_is_config_error(tmp_path):
     '{"vehicle": {"m": 1e-320}}',                   # subnormal: m * g underflows
     '{"vehicle": {"J_diag": [1e-320, 0.08, 0.14]}}',  # subnormal principal inertia
     '{"vehicle": {"g": 5e-324}}',                   # subnormal: 1e-6 m g underflows to 0
+    '{"vehicle": {"m": 1e300}}',                    # (m g)^2 overflows the force norm
+    '{"vehicle": {"c_f": 2.2e-308}}',               # subnormal: rotor-pair sums overflow
     '{"vehicle": {"m": 1e300, "g": 1e10}}',         # m * g overflows
     '{"vehicle": {"m": 1e-200, "g": 1e-200}}',      # m * g underflows
     '{"vehicle": [["m", 3.5]]}',                    # blocks must be objects, not pair lists
@@ -153,6 +155,34 @@ def test_time_step_below_floor_is_config_error(tmp_path, capsys, sim):
     assert cli.main(["simulate", "--experiment", "hover", "--config", str(cfg), "--out", str(out)]) == 2
     assert "time steps must be at least 1e-06 s" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("vehicle", [{"m": 1e300}, {"c_f": 2.2e-308}])
+def test_extreme_vehicles_exit_2_without_a_warning(tmp_path, vehicle):
+    """Run with numpy warnings as errors, these vehicles used to end in a
+    traceback (overflow in the force norm, overflow in the rotor-pair sums)."""
+    cfg = tmp_path / "extreme.json"
+    cfg.write_text(json.dumps({"vehicle": vehicle}))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "omnidyn.cli", "simulate",
+                          "--experiment", "hover", "--config", str(cfg), "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True)
+    assert out.returncode == 2, out.stderr
+    assert "config error" in out.stderr and "Warning" not in out.stderr
+
+
+def test_log_over_the_row_cap_is_config_error(tmp_path, capsys, monkeypatch):
+    """1 us time steps on the 16 s cartwheel would log 16 000 001 rows (9.1 GB);
+    the run exits 2 before the allocation pipeline is even built."""
+    def never(*args, **kwargs):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(simulation, "Allocator", never)
+    cfg = tmp_path / "fine.json"
+    cfg.write_text(json.dumps({"sim": {"dt_physics": 1e-6, "dt_control": 1e-6}}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--experiment", "cartwheel", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "16000001 rows" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_missing_config_file_is_config_error(tmp_path):

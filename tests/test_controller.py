@@ -1,6 +1,8 @@
 """Tests for the geometric tracking controller."""
 
+import array_formulas
 import numpy as np
+from array_formulas import same_bits
 import pytest
 from numpy.testing import assert_allclose
 
@@ -158,3 +160,44 @@ def test_velocity_transport_term():
     w = control_wrench(compute_errors(state, sp), state, sp, g, p)
     expected_F = p.m * (np.array([0.0, 0.0, p.g_mag]) + np.cross(omega, v))
     assert_allclose(w.F, expected_F, atol=1e-12)
+
+
+def controller_edge_cases():
+    """Signed zeros (a hover start, with -0.0 setpoint entries), and the
+    overflow to inf and NaN that extreme but accepted gains, inertia and
+    centre-of-mass offsets reach."""
+    p, g = VehicleParams(), Gains()
+    zero, neg = np.zeros(3), np.full(3, -0.0)
+    big = 1.7976931348623157e308
+    tilted = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), 0.2)
+    return [
+        (make_state(), TrajectorySetpoint(), g, p),
+        (make_state(x=neg, v=neg, omega_b=neg), TrajectorySetpoint(), g, p),
+        (make_state(), TrajectorySetpoint(x_sp=neg, v_sp=neg, a_sp=neg, omega_sp=neg), g, p),
+        (make_state(x=neg), TrajectorySetpoint(x_sp=zero, a_sp=neg), g, p),
+        (make_state(R=tilted, omega_b=np.array([0.0, -0.0, 2.0])), TrajectorySetpoint(a_sp=neg), g, p),
+        (make_state(x=np.array([1.0, -2.0, 0.5]), R=tilted),
+         TrajectorySetpoint(), Gains(k_p=big, k_R=big), p),
+        (make_state(omega_b=np.array([1e200, -1e200, 3.0])), TrajectorySetpoint(), g,
+         VehicleParams(J_b=np.diag([1e300, 2e300, 1e300]))),
+        (make_state(v=np.array([3.0, 0.0, -1.0]), omega_b=np.array([0.5, 0.2, -0.1])),
+         TrajectorySetpoint(), g, VehicleParams(x_com=np.array([big, -big, 0.0]))),
+    ]
+
+
+def test_controller_matches_the_array_formulas_bit_for_bit(logged_ticks):
+    """compute_errors and control_wrench on Python floats give the bytes of
+    the array formulas, on every logged cartwheel and scatter-like tick and
+    on signed-zero and overflowing inputs."""
+    for state, sp, gains, params in logged_ticks["controller"] + controller_edge_cases():
+        with np.errstate(all="ignore"):
+            expected = array_formulas.errors(state, sp)
+            e = compute_errors(state, sp)
+            F, tau = array_formulas.wrench(expected, state, sp, gains, params)
+            w = control_wrench(e, state, sp, gains, params)
+        for name, want in zip(("e_p", "e_v", "e_R", "e_omega"), expected):
+            got = getattr(e, name)
+            assert isinstance(got, np.ndarray) and same_bits(got, want), name
+        assert same_bits(w.F, F)
+        assert same_bits(w.tau, tau)
+

@@ -1,7 +1,9 @@
 """Tests for the small 3D algebra layer."""
 
+import array_formulas
 import numpy as np
 import pytest
+from array_formulas import same_bits
 from numpy.testing import assert_allclose
 
 from omnidyn.mathcore import (
@@ -122,6 +124,25 @@ def test_angle_between_rejects_zero_vector():
         angle_between([0, 0, 0], [1, 0, 0])
     with pytest.raises(ValueError):
         angle_between([1, 0, 0], [[1, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError):
+        angle_between([1, 0, 0], [[np.nan, 0, 0], [-0.0, 0.0, -0.0]])
+
+
+def test_angle_between_matches_the_array_formula_bit_for_bit():
+    """The square root of a . a on a float and the zero check through
+    nb.all() keep the bytes of the array formula, for one vector and for
+    stacked rows, signed zeros, NaN and inf included."""
+    rng = np.random.default_rng(12)
+    rows = np.vstack([rng.normal(size=(200, 3)), [[-0.0, 1.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 1.0],
+                                                  [1e-150, 0.0, 0.0], [1e200, -1e200, 0.0]]])
+    with np.errstate(all="ignore"):
+        for a in [*rng.normal(size=(20, 3)), [0.0, -0.0, 1.0], [np.nan, 0.0, 1.0], [np.inf, 1.0, 0.0]]:
+            # a itself and its multiples round their cosines to just past +-1 now and then
+            a = np.asarray(a, dtype=float)
+            stacked = np.vstack([rows, a, -a, 3.0 * a, -0.1 * a])
+            assert same_bits(angle_between(a, stacked), array_formulas.angle_between(a, stacked))
+            for b in stacked[::13]:
+                assert same_bits(angle_between(a, b), array_formulas.angle_between(a, b))
 
 
 def test_wrap_angle_scalar_and_array():

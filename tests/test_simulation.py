@@ -1,19 +1,24 @@
 """Tests for the closed-loop simulation harness and its log format."""
 
+import array_formulas
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from omnidyn.controller import Gains
+from omnidyn import simulation
 from omnidyn.simulation import (
     LOG_FIELDS,
+    MAX_LOG_ROWS,
     MIN_TIME_STEP,
+    ConfigError,
     SimConfig,
     SimLog,
     SimulationDiverged,
     log_column_names,
     simulate,
     tracking_summary,
+    write_csv,
 )
 from omnidyn.singularity import SingularityParams
 from omnidyn.trajectories import make_hover, make_translation
@@ -166,3 +171,36 @@ def test_tracking_summary_attitude_metric():
 def test_tracking_summary_rejects_empty_log():
     with pytest.raises(ValueError):
         tracking_summary(SimLog(data=np.empty((0, 5)), dt_control=0.005))
+
+
+def test_write_csv_keeps_the_bytes_of_the_row_by_row_writer(tmp_path):
+    """The one-write CSV writer gives the file of the old row-by-row writer,
+    on a closed-loop log and on signed zeros, NaN, inf, integers, subnormals
+    and an empty table."""
+    log = run_short_hover(duration=0.5)
+    odd = np.array([[-0.0, 0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e300, 0.1], [3.0, -2.0, 1.0 / 3.0, 1e-7]])
+    tables = [(log_column_names(), log.data), (["a", "b", "c", "d"], odd),
+              (["i", "j"], np.array([[1, -2], [0, 7]])), (["e"], np.empty((0, 1)))]
+    for header, rows in tables:
+        write_csv(tmp_path / "new.csv", header, rows)
+        array_formulas.write_csv(tmp_path / "old.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_simulate_refuses_a_log_over_the_row_cap_before_any_set_up(monkeypatch):
+    """A run whose log would pass MAX_LOG_ROWS is a ConfigError raised before
+    the allocator, the first sample or the log exist; one row under the cap
+    is accepted."""
+    def never(*args, **kwargs):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(simulation, "Allocator", never)
+    traj = make_hover(16.0)
+    traj.sampler = never
+    for cfg in (SimConfig(dt_physics=1e-6, dt_control=1e-6),
+                SimConfig(duration=MAX_LOG_ROWS * 0.005, dt_control=0.005)):
+        with pytest.raises(ConfigError, match="rows"):
+            simulate(traj, VehicleParams(), Gains(), SingularityParams(), cfg)
+    with pytest.raises(AssertionError, match="set-up ran"):
+        simulate(traj, VehicleParams(), Gains(), SingularityParams(),
+                 SimConfig(duration=(MAX_LOG_ROWS - 1) * 0.005, dt_control=0.005))

@@ -1,7 +1,9 @@
 """Tests for the singularity handlers and the rate-level allocation matrix."""
 
+import array_formulas
 import numpy as np
 import pytest
+from array_formulas import same_bits
 from numpy.testing import assert_allclose
 
 from omnidyn.allocation import build_A_alpha
@@ -248,3 +250,62 @@ def test_derivative_allocation_vanishes_with_stopped_rotors():
     p = VehicleParams()
     D = derivative_allocation(p, np.full(6, 0.3), np.zeros(12))
     assert_allclose(D[:, 12:], 0.0, atol=1e-18)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.fixture
+def quiet_numpy():
+    """numpy's scalar arithmetic warns on inf * 0, which the NaN cases do on purpose."""
+    with np.errstate(all="ignore"):
+        yield
+
+
+def test_handlers_match_the_array_formulas_bit_for_bit(logged_ticks, quiet_numpy):
+    """The float handlers give the bytes of the array formulas on the logged
+    handler inputs and on ties: eta == phi_0 and eta == phi_d, phi == phi_t,
+    |unwind| == |base|, signed zeros, NaN and inf."""
+    p = VehicleParams()
+    sp = SingularityParams()
+    rows = []
+    for allocator, w_des, alpha_prev, dt in logged_ticks["allocate"]:
+        F = w_des[:3]
+        F_norm = np.linalg.norm(F)
+        if allocator.sing_params is None or not 1e-6 * p.m * p.g_mag <= F_norm < np.inf:
+            continue
+        phi_z, eta = array_formulas.singular_angles(F / F_norm, allocator.params)
+        got_phi, got_eta = singular_angles(F / F_norm, allocator.params)
+        assert same_bits(got_phi, phi_z) and same_bits(got_eta, eta)
+        u = allocator.params.A_pinv @ w_des
+        delta = array_formulas.wrap_angle(array_formulas.extract_tilt_angles(u, alpha_prev) - alpha_prev)
+        rows.append((delta, tilt_bias_multiplier(phi_z, sp), eta, alpha_prev, dt))
+    assert rows
+
+    before, after = np.nextafter(sp.phi_0, 0.0), np.nextafter(sp.phi_d, 1.0)
+    eta_edges = np.array([sp.phi_0, sp.phi_d, before, after, 0.0, -0.0, NAN, INF, -INF, np.pi / 2.0])
+    for eta in (eta_edges[:6], eta_edges[4:]):
+        assert same_bits(damping_multiplier(eta, sp), array_formulas.damping_multiplier(eta, sp))
+    for eta in eta_edges:
+        gain = damping_multiplier(eta, sp)
+        assert isinstance(gain, float) and same_bits(gain, array_formulas.damping_multiplier(eta, sp))
+    assert damping_multiplier(sp.phi_0, sp) == 1.0 and damping_multiplier(sp.phi_d, sp) == 0.0
+    for phi in (sp.phi_t, np.nextafter(sp.phi_t, 0.0), 0.0, -0.0):
+        assert same_bits(tilt_bias_multiplier(phi, sp), array_formulas.tilt_bias_multiplier(phi, sp))
+
+    # omega_u * dt = 0.04: an arm at 0.04 with no request has |unwind| == |base|.
+    dt = 0.005
+    tie = np.array([0.04, -0.04, np.nextafter(0.04, 1.0), 0.0, -0.0, 0.04])
+    assert array_formulas.apply_damping_and_unwind(np.zeros(6), np.ones(6), tie, sp, dt)[0] == -0.04
+    rows += [(np.zeros(6), 0.0, np.zeros(6), tie, dt),
+             (np.array([0.0, -0.0, 0.0, -0.0, 0.04, -0.04]), 1.0, np.full(6, sp.phi_0), tie, dt),
+             (np.array([NAN, 0.1, INF, -0.0, 0.0, -INF]), 0.5, eta_edges[:6], np.array([0.3, NAN, -0.2, -0.0, 0.0, 0.5]), dt),
+             (np.array([0.02, -0.02, 0.0, 0.01, -0.01, 0.0]), 0.0, np.zeros(6), np.array([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0]), dt)]
+    for delta, k_t, eta, alpha_prev, dt in rows:
+        biased = apply_tilt_bias(delta, k_t, sp)
+        assert same_bits(biased, array_formulas.apply_tilt_bias(delta, k_t, sp))
+        k_alpha = array_formulas.damping_multiplier(eta, sp)
+        assert same_bits(damping_multiplier(eta, sp), k_alpha)
+        for k in (k_alpha, np.ones(6), np.zeros(6)):
+            assert same_bits(apply_damping_and_unwind(biased, k, alpha_prev, sp, dt),
+                             array_formulas.apply_damping_and_unwind(biased, k, alpha_prev, sp, dt))

@@ -1,6 +1,8 @@
 """Tests for the reference trajectory library."""
 
+import array_formulas
 import numpy as np
+from array_formulas import same_bits
 from numpy.testing import assert_allclose
 
 from omnidyn.mathcore import is_rotation, rotation_from_axis_angle
@@ -173,3 +175,36 @@ def test_samplers_clamp_beyond_duration():
         assert_allclose(late.x_sp, end.x_sp)
         assert_allclose(late.R_sp, end.R_sp)
         assert is_rotation(late.R_sp)
+
+
+def test_quintic_blend_matches_the_array_formula_bit_for_bit():
+    """quintic_blend on Python floats gives the bytes of the np.clip formula
+    on a fine grid, at the ends of the window, on signed zeros, inf and NaN,
+    and every sampler's setpoints follow on a 1 ms grid past the end."""
+    NAN, INF = float("nan"), float("inf")
+    ts = np.linspace(-1.0, 7.0, 8001).tolist() + [-0.0, 0.0, 2.0, 6.0, 5e-324, -5e-324, INF, -INF, NAN]
+    for T in (2.0, 6.0, 4.0, 1e-3, 3.0):
+        for t in ts:
+            got = quintic_blend(t, T)
+            assert all(isinstance(v, float) for v in got)
+            assert same_bits(got, array_formulas.quintic_blend(t, T))
+
+
+def test_sampler_setpoints_keep_their_bytes(monkeypatch):
+    """The setpoints of every trajectory equal the ones built from the array
+    quintic blend, on a 15 ms grid, at the phase ends and beyond the end."""
+    import omnidyn.trajectories as trajectories
+
+    p = VehicleParams()
+    samplers = [make().sampler for make in (make_hover, make_translation, make_rotation, make_flip,
+                                            make_cartwheel, lambda: make_singular_translation(p))]
+    grid = np.arange(0.0, 16.5, 0.015).tolist() + [-1.0, -0.0, 4.0, 12.0, 16.0, 1e9]
+    fields = ("x_sp", "v_sp", "a_sp", "R_sp", "omega_sp")
+
+    def sample_all():
+        return np.concatenate([np.ravel(getattr(sampler(t), f))
+                               for sampler in samplers for t in grid for f in fields])
+
+    got = sample_all()
+    monkeypatch.setattr(trajectories, "quintic_blend", array_formulas.quintic_blend)
+    assert same_bits(got, sample_all())

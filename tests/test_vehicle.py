@@ -2,8 +2,10 @@
 
 import dataclasses
 
+import array_formulas
 import numpy as np
 import pytest
+from array_formulas import same_bits
 from numpy.testing import assert_allclose
 
 from omnidyn import mathcore, vehicle
@@ -401,3 +403,24 @@ def test_integrate_step_n_steps_raises_when_a_later_step_diverges():
         integrate_step(start, wrench, dt, p, finite + 1)
     with pytest.raises(RuntimeError, match="non-finite"):
         integrate_step(start, wrench, dt, p, finite + 5)
+
+
+def test_integrate_step_matches_the_per_stage_formula_bit_for_bit(logged_ticks):
+    """The RKMK4 step with its four stages written out gives the bytes of the
+    step that called one function per stage, on every logged tick and on
+    signed zeros: a stopped vehicle with -0.0 entries and zero thrust, whose
+    stage-1 cross products are signed zeros."""
+    p = VehicleParams()
+    neg = np.full(3, -0.0)
+    tilted = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 2.0)
+    edges = [(RigidBodyState(x=neg, v=neg, omega_b=neg), Wrench(F=neg, tau=neg), 1e-3, p, 3),
+             (RigidBodyState(v=neg, R=tilted), Wrench(F=np.array([-0.0, 0.0, -0.0]), tau=neg), 1e-3, p, 2),
+             (RigidBodyState(omega_b=np.array([0.0, -0.0, 1.0])),
+              Wrench(F=np.array([0.0, -0.0, 39.24]), tau=np.array([-0.0, 0.0, 0.0])), 1e-3, p, 5),
+             (RigidBodyState(), Wrench(), 1e-3, p, 0)]
+    for state, wrench, dt, params, n in logged_ticks["plant"] + edges:
+        out = integrate_step(state, wrench, dt, params, n)
+        got = np.concatenate([out.x, out.v, out.R.ravel(), out.omega_b])
+        assert same_bits(got, array_formulas.integrate_step(state, wrench, dt, params, n))
+        assert all(isinstance(a, np.ndarray) and a.dtype == float for a in (out.x, out.v, out.R, out.omega_b))
+        assert out.R.shape == (3, 3)
