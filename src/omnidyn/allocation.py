@@ -43,23 +43,52 @@ DEGENERATE_REL_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
 
 
-def extract_tilt_angles(u, alpha_prev):
-    """One tilt angle per arm from the summed sin/cos products of its rotor pair.
+def tilt_angles(u, alpha_prev):
+    """extract_tilt_angles on Python floats: u as 24 floats, alpha_prev as 6;
+    returns a list of six angles.
 
-    Arms whose summed pair is degenerate (zero magnitude relative to the
-    largest arm) hold their previous angle. The pair sums, np.hypot and
-    np.arctan2 run in numpy (math.hypot and math.atan2 round differently);
-    the threshold and the hold run on Python floats. Returns an ndarray.
+    The pair sums and the threshold and hold run on floats; np.hypot and
+    np.arctan2 stay in numpy (math.hypot and math.atan2 round differently).
     """
-    u = np.asarray(u, dtype=float)
-    S = u[0::4] + u[2::4]
-    C = u[1::4] + u[3::4]
+    S = np.array([u[0] + u[2], u[4] + u[6], u[8] + u[10], u[12] + u[14], u[16] + u[18], u[20] + u[22]])
+    C = np.array([u[1] + u[3], u[5] + u[7], u[9] + u[11], u[13] + u[15], u[17] + u[19], u[21] + u[23]])
     mag = np.hypot(S, C).tolist()
     alpha_des = np.arctan2(S, C).tolist()
     # The magnitudes are nonnegative, so their sum is NaN exactly when one of
     # them is; mag.max() is NaN then, and no arm holds.
     thr = math.nan if math.isnan(sum(mag)) else DEGENERATE_REL_TOL * max(mag)
-    return np.array([prev if m <= thr else a for prev, m, a in zip(alpha_prev, mag, alpha_des)], dtype=float)
+    if min(mag) > thr:  # no arm holds (never taken when thr is NaN)
+        return alpha_des
+    return [prev if m <= thr else a for prev, m, a in zip(alpha_prev, mag, alpha_des)]
+
+
+def extract_tilt_angles(u, alpha_prev):
+    """One tilt angle per arm from the summed sin/cos products of its rotor pair.
+
+    Arms whose summed pair is degenerate (zero magnitude relative to the
+    largest arm) hold their previous angle. Computed by tilt_angles;
+    returns an ndarray.
+    """
+    return np.array(tilt_angles(np.asarray(u, dtype=float).tolist(), alpha_prev), dtype=float)
+
+
+def rotor_speeds(u, alpha, Omega_max):
+    """extract_rotor_speeds on Python floats: u as 24 floats, alpha as 6;
+    returns a list of twelve speeds."""
+    hi = Omega_max
+    upper, lower = [], []
+    for a, s_up, c_up, s_lo, c_lo in zip(alpha, u[0::4], u[1::4], u[2::4], u[3::4]):
+        try:
+            s, c = math.sin(a), math.cos(a)
+        except ValueError:
+            # np.sin and np.cos of inf give NaN; math.sin raises. NaN gives NaN in both.
+            s = c = a - a
+        # The clamp of ndarray.clip: NaN stays NaN and a -0.0 projection stays -0.0.
+        w = s * s_up + c * c_up
+        upper.append(0.0 if w < 0.0 else hi if w > hi else w)
+        w = s * s_lo + c * c_lo
+        lower.append(0.0 if w < 0.0 else hi if w > hi else w)
+    return upper + lower
 
 
 def extract_rotor_speeds(u, alpha, params: VehicleParams):
@@ -67,24 +96,10 @@ def extract_rotor_speeds(u, alpha, params: VehicleParams):
 
     Negative projections mean the commanded angle points away from the
     rotor's requested thrust; those speeds clamp to zero, and all speeds
-    clamp to Omega_max. Runs on Python floats and returns an ndarray in
+    clamp to Omega_max. Computed by rotor_speeds; returns an ndarray in
     rotor order (upper rotors 0-5, then lower rotors 6-11).
     """
-    u = np.asarray(u, dtype=float).tolist()
-    hi = params.Omega_max
-    Omega = [0.0] * 12
-    for i, a in enumerate(alpha):
-        if a - a == 0.0:
-            s, c = math.sin(a), math.cos(a)
-        else:
-            # np.sin and np.cos of inf or NaN give the NaN a - a; math.sin raises.
-            s = c = a - a
-        # The clamp of ndarray.clip: NaN stays NaN and a -0.0 projection stays -0.0.
-        w = s * u[4 * i] + c * u[4 * i + 1]
-        Omega[i] = 0.0 if w < 0.0 else hi if w > hi else w
-        w = s * u[4 * i + 2] + c * u[4 * i + 3]
-        Omega[i + 6] = 0.0 if w < 0.0 else hi if w > hi else w
-    return np.array(Omega)
+    return np.array(rotor_speeds(np.asarray(u, dtype=float).tolist(), alpha, params.Omega_max))
 
 
 @dataclass

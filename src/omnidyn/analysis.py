@@ -4,15 +4,41 @@ Force/torque envelopes, condition-number maps of the instantaneous
 allocation matrix (with and without tilt bias), and hover efficiency
 metrics, all evaluated over deterministic direction sets: a fixed list
 of canonical directions first, then Fibonacci-sphere samples.
+
+Each sweep calls static_allocation once per direction, and the work of a
+direction runs on Python floats wherever that keeps the bits of the numpy
+formulas. numpy stays where its kernel sets the bits and Python's does not
+match:
+- the matrix-vector products A^+ w and A_alpha Omega (BLAS gemv), called
+  through ndarray.dot, which hands BLAS the product @ hands it without the
+  dispatch of the matmul ufunc;
+- np.hypot and np.arctan2 of the tilt extraction, and np.arccos in the
+  z angle of the biased map;
+- the singular values and np.log10 of the condition map (math.log10
+  rounds differently);
+- f**1.5 and the sums of the rotor thrusts (numpy's sum adds pairwise).
+The pair sums, holds, bias, rotor projection and clamp, the envelope peak,
+the rank tolerance and the efficiency indices are floats.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .allocation import Allocator, build_A_alpha, extract_rotor_speeds, extract_tilt_angles
+from .allocation import Allocator, rotor_speeds, tilt_angles
 from .singularity import SingularityParams, apply_tilt_bias, tilt_bias_multiplier, z_misalignment
-from .vehicle import VehicleParams
+from .vehicle import VehicleParams, build_A_alpha
+
+# The sweeps no longer call these; they stay bound because perfbench/tracer.py
+# looks them up in this module.
+from .allocation import extract_rotor_speeds, extract_tilt_angles  # noqa: F401
+
+# The condition map treats A_alpha as rank deficient when its smallest singular
+# value is at most 12 EPS times the largest.
+EPS = float(np.finfo(float).eps)
+ZERO_TILT = (0.0,) * 6
 
 
 def fibonacci_sphere(n):
@@ -67,20 +93,24 @@ def static_allocation(w_des, allocator: Allocator):
     Solves the minimum-norm allocation and extracts tilt angles with no
     rate limiting (degenerate arms hold zero). When the allocator carries
     singularity params, the converged tilt-bias offsets are added before
-    the rotor speeds are projected, as Allocator.allocate does.
+    the rotor speeds are projected, as Allocator.allocate does. Runs the
+    allocation's float steps (tilt_angles, apply_tilt_bias, rotor_speeds)
+    and returns ndarrays.
     """
     params = allocator.params
     w_des = np.asarray(w_des, dtype=float)
-    u = params.A_pinv @ w_des
-    alpha = extract_tilt_angles(u, np.zeros(6))
+    # A_pinv @ w_des, through ndarray.dot (see the module docstring).
+    u = params.A_pinv.dot(w_des)
+    u_list = u.tolist()
+    alpha = tilt_angles(u_list, ZERO_TILT)
     sp = allocator.sing_params
     if sp is not None:
         F = w_des[:3]
-        F_norm = np.linalg.norm(F)
+        # np.linalg.norm(F) is this square root of F.dot(F).
+        F_norm = math.sqrt(F.dot(F))
         if F_norm > 0.0:
             alpha = apply_tilt_bias(alpha, tilt_bias_multiplier(z_misalignment(F / F_norm), sp), sp)
-    Omega = extract_rotor_speeds(u, alpha, params)
-    return alpha, Omega, u
+    return np.array(alpha), np.array(rotor_speeds(u_list, alpha, params.Omega_max)), u
 
 
 def _envelope(params, n_dirs, torque):
@@ -88,7 +118,13 @@ def _envelope(params, n_dirs, torque):
     dirs = envelope_directions(n_dirs)
     zero = np.zeros_like(dirs)
     wrenches = np.hstack([zero, dirs] if torque else [dirs, zero])
-    peak = np.array([np.max(static_allocation(w, allocator)[1]) for w in wrenches])
+    peak = []
+    for w in wrenches:
+        Omega = static_allocation(w, allocator)[1].tolist()
+        # np.max(Omega): the speeds are nonnegative or NaN, so their sum is NaN
+        # exactly when one is, and np.max is NaN then.
+        peak.append(math.nan if math.isnan(sum(Omega)) else max(Omega))
+    peak = np.array(peak)
     # Extraction is homogeneous in the wrench magnitude at fixed direction,
     # so the largest feasible scale hits Omega_max exactly.
     radius = np.divide(params.Omega_max, peak, out=np.zeros(len(dirs)), where=peak > 0.0)
@@ -105,6 +141,16 @@ def torque_envelope(params: VehicleParams, n_dirs=2000):
     return _envelope(params, n_dirs, torque=True)
 
 
+def log10_cond(A):
+    """log10 of the 2-norm condition number of A, or +inf when A is rank
+    deficient. The tolerance keeps the order of s_max * 12 * eps."""
+    svals = np.linalg.svd(A, compute_uv=False).tolist()
+    s_max, s_min = svals[0], svals[-1]
+    if s_min <= s_max * 12 * EPS:
+        return math.inf
+    return float(np.log10(s_max / s_min))
+
+
 def condition_map(params: VehicleParams, n_dirs=2000, sing_params: SingularityParams | None = None):
     """(dirs, log10_cond) of the instantaneous allocation matrix.
 
@@ -114,28 +160,22 @@ def condition_map(params: VehicleParams, n_dirs=2000, sing_params: SingularityPa
     """
     allocator = Allocator(params, sing_params)
     dirs = condmap_directions(n_dirs)
-
-    def log10_cond(w):
-        alpha, _, _ = static_allocation(w, allocator)
-        svals = np.linalg.svd(build_A_alpha(params, alpha), compute_uv=False)
-        tol = svals[0] * 12 * np.finfo(float).eps
-        if svals[-1] <= tol:
-            return np.inf
-        return np.log10(svals[0] / svals[-1])
-
     wrenches = np.hstack([dirs, np.zeros_like(dirs)])
-    return dirs, np.array([log10_cond(w) for w in wrenches])
+    return dirs, np.array([log10_cond(build_A_alpha(params, static_allocation(w, allocator)[0]))
+                           for w in wrenches])
 
 
 def wasted_force_index(rotor_thrusts, F_b):
     """Ratio of delivered force magnitude to total thrust, in [0, 1]."""
     f = np.asarray(rotor_thrusts, dtype=float)
-    if np.any(f < 0.0):
+    if any(x < 0.0 for x in f.tolist()):
         raise ValueError("rotor thrusts must be nonnegative")
-    total = float(np.sum(f))
+    total = float(f.sum())
     if total <= 0.0:
         raise ValueError("wasted_force_index undefined for zero total thrust")
-    return min(1.0, float(np.linalg.norm(F_b) / total))
+    F_b = np.asarray(F_b, dtype=float)
+    # np.linalg.norm(F_b) is this square root of F_b.dot(F_b).
+    return min(1.0, math.sqrt(F_b.dot(F_b)) / total)
 
 
 def hover_power(params: VehicleParams):
@@ -151,9 +191,9 @@ def power_efficiency(rotor_thrusts, params: VehicleParams):
     level hover itself scores exactly 1.
     """
     f = np.asarray(rotor_thrusts, dtype=float)
-    if np.any(f < 0.0):
+    if any(x < 0.0 for x in f.tolist()):
         raise ValueError("rotor thrusts must be nonnegative")
-    total_power = float(np.sum(f**1.5))
+    total_power = float((f**1.5).sum())
     if total_power == 0.0:
         return 0.0, 0.0
     return total_power, min(1.0, hover_power(params) / total_power)
@@ -173,7 +213,8 @@ def hover_sweep(params: VehicleParams, n_orientations=2000):
     def indices(w):
         alpha, Omega, _ = static_allocation(w, allocator)
         thrusts = params.c_f * Omega
-        F_b = build_A_alpha(params, alpha) @ Omega
+        # build_A_alpha(params, alpha) @ Omega, through ndarray.dot.
+        F_b = build_A_alpha(params, alpha).dot(Omega)
         total_power, eta_P = power_efficiency(thrusts, params)
         return eta_P, wasted_force_index(thrusts, F_b[:3]), total_power
 

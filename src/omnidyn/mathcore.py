@@ -76,14 +76,25 @@ def angle_between(a, b):
     angle per row. Rows use the same dot kernel as a single vector, so
     each angle is bit-for-bit the one a per-row call returns.
     """
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na = math.sqrt(np.vecdot(a, a))
     nb = np.sqrt(np.vecdot(b, b))
     # nb.all() is False exactly when some norm is zero (NaN counts as true).
-    if na == 0.0 or not nb.all():
+    if not nb.all():
         raise ValueError("angle_between: zero-length vector has no direction")
-    return np.arccos((np.vecdot(b, a) / (na * nb)).clip(-1.0, 1.0))
+    return row_angles(a, b, nb)
+
+
+def row_angles(a, rows, row_norms):
+    """angle_between(a, rows), given the row norms np.sqrt(np.vecdot(rows, rows)).
+
+    For fixed rows whose norms are computed once and are nonzero; a must
+    be nonzero. The result has the bits of angle_between's.
+    """
+    a = np.asarray(a, dtype=float)
+    na = math.sqrt(np.vecdot(a, a))
+    if na == 0.0:
+        raise ValueError("angle_between: zero-length vector has no direction")
+    return np.arccos((np.vecdot(rows, a) / (na * row_norms)).clip(-1.0, 1.0))
 
 
 def wrap_angle(theta):

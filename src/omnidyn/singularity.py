@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mathcore import angle_between
+from .mathcore import angle_between, row_angles
 from .vehicle import ARM, Z_AXIS, VehicleParams, build_A_alpha
 
 
@@ -59,6 +59,11 @@ class SingularityParams:
             raise ValueError("b must be 6 alternating entries of +/-1")
 
 
+# +z and -z, with the row norms angle_between computes for them.
+Z_LINES = np.vstack([Z_AXIS, -Z_AXIS])
+Z_NORMS = np.sqrt(np.vecdot(Z_LINES, Z_LINES))
+
+
 def _nearest_z_family(to_z, to_minus_z):
     """The smaller of the angles to +z, to -z and to the z-plane."""
     return min(to_z, to_minus_z, abs(np.pi / 2.0 - to_z))
@@ -66,8 +71,13 @@ def _nearest_z_family(to_z, to_minus_z):
 
 def z_misalignment(F_dir):
     """Angle of a unit force direction to the nearer of the body z-axis
-    (either sign) and the body z-plane. Ranges over [0, pi/4]."""
-    return _nearest_z_family(angle_between(F_dir, Z_AXIS), angle_between(F_dir, -Z_AXIS))
+    (either sign) and the body z-plane. Ranges over [0, pi/4].
+
+    One row_angles call over Z_LINES with the stored Z_NORMS gives the bits
+    of angle_between(F_dir, Z_AXIS) and angle_between(F_dir, -Z_AXIS).
+    """
+    to_z, to_minus_z = row_angles(F_dir, Z_LINES, Z_NORMS).tolist()
+    return _nearest_z_family(to_z, to_minus_z)
 
 
 def tilt_bias_multiplier(phi, params: SingularityParams):
@@ -100,15 +110,15 @@ def arm_alignment(F_dir, arm_index, params: VehicleParams):
 
 def singular_angles(F_dir, params: VehicleParams):
     """(z_misalignment(F_dir), arm_alignment(F_dir, arange(6), params)) from
-    one angle_between call over params.singular_lines, as floats and a list
-    of six floats.
+    one row_angles call over params.singular_lines with the stored
+    params.singular_norms, as floats and a list of six floats.
 
     The rows are the vectors the two functions use, with the same signed
     zeros, and stacked rows give each angle bit for bit, so both results
     equal theirs. The angles lie in [0, pi] and are never -0.0, so min
     picks what np.minimum picks.
     """
-    angles = angle_between(F_dir, params.singular_lines).tolist()
+    angles = row_angles(F_dir, params.singular_lines, params.singular_norms).tolist()
     return (_nearest_z_family(angles[0], angles[1]),
             [min(a, b) for a, b in zip(angles[2:8], angles[8:])])
 

@@ -26,6 +26,12 @@ DIVERGED = "integration step produced non-finite state"
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
+# Factor by which A^+ w for the weight (or a unit wrench, whichever is larger)
+# must stay below the largest float: the rotor-pair sums, their hypot and the
+# projections grow it by up to 2 sqrt(2), and the closed loop asks for more
+# than the weight in transients.
+ALLOCATION_HEADROOM = 1e3
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -57,13 +63,15 @@ class VehicleParams:
     g_mag: float = 9.81
     # Derived in __post_init__: rotor_columns, the fixed 6x24 allocation matrix
     # (layout in omnidyn.allocation), its pseudo-inverse, the unit arm axes,
-    # and the 14 singular force directions [z, -z, arm axes, -arm axes].
+    # the 14 singular force directions [z, -z, arm axes, -arm axes] and their
+    # norms (nonzero: each row is a unit vector up to rounding).
     sin_cols: np.ndarray = field(init=False, repr=False, compare=False)
     cos_cols: np.ndarray = field(init=False, repr=False, compare=False)
     A: np.ndarray = field(init=False, repr=False, compare=False)
     A_pinv: np.ndarray = field(init=False, repr=False, compare=False)
     arm_axes: np.ndarray = field(init=False, repr=False, compare=False)
     singular_lines: np.ndarray = field(init=False, repr=False, compare=False)
+    singular_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Frozen: fields are set here once, so the derived ones never go stale.
@@ -117,12 +125,21 @@ class VehicleParams:
             A_pinv = np.linalg.pinv(A)
             if not np.all(np.isfinite(A_pinv)):
                 raise ValueError("allocation matrix has no finite pseudo-inverse")
+            # Every entry of A^+ w is at most the largest absolute row sum of A^+
+            # times |w|. The sweeps allocate the weight and unit wrenches; c_f of
+            # 2.2250738585072014e-308 overflowed the rotor-pair sums of the weight.
+            u_bound = float(np.abs(A_pinv).sum(axis=1).max()) * max(self.m * self.g_mag, 1.0)
+            if not u_bound < sys.float_info.max / ALLOCATION_HEADROOM:
+                raise ValueError("allocation of the weight overflows: c_f is too small for m * g "
+                                 "(A^+ w must stay finite with headroom)")
         arm_axes = np.stack([np.cos(self.gamma), np.sin(self.gamma), np.zeros(6)], axis=-1)
         # Negated, not built, so the signed zeros are those of -Z_AXIS and -axis.
         singular_lines = np.vstack([Z_AXIS, -Z_AXIS, arm_axes, -arm_axes])
+        # The row norms mathcore.angle_between computes, once per vehicle.
+        singular_norms = np.sqrt(np.vecdot(singular_lines, singular_lines))
         for name, value in (("sin_cols", sin_cols), ("cos_cols", cos_cols), ("A", A),
                             ("A_pinv", A_pinv), ("arm_axes", arm_axes),
-                            ("singular_lines", singular_lines)):
+                            ("singular_lines", singular_lines), ("singular_norms", singular_norms)):
             object.__setattr__(self, name, value)
 
 

@@ -1,5 +1,6 @@
-"""The numpy array formulas that the closed-loop layers computed before they
-moved to Python floats, kept as references for the bit-for-bit tests.
+"""The numpy array formulas that the closed-loop layers and the static sweeps
+computed before they moved to Python floats, kept as references for the
+bit-for-bit tests.
 
 Each function is the formula as the package wrote it, with numpy doing every
 elementwise step; the tests compare the package's float code against these
@@ -115,6 +116,76 @@ def allocate(params, sp, w_des, alpha_prev, dt):
     limit = params.alpha_dot_max * dt
     alpha_cmd = alpha_prev + delta.clip(-limit, limit)
     return alpha_cmd, extract_rotor_speeds(u, alpha_cmd, params), alpha_des, k_t, k_alpha
+
+
+def z_misalignment(F_dir):
+    """z_misalignment from two single-vector angle_between calls."""
+    z = np.array([0.0, 0.0, 1.0])
+    to_z, to_minus_z = angle_between(F_dir, z), angle_between(F_dir, -z)
+    return min(to_z, to_minus_z, abs(np.pi / 2.0 - to_z))
+
+
+def build_A_alpha(params, alpha):
+    alpha = np.asarray(alpha, dtype=float)[np.arange(12) % 6]
+    return params.sin_cols * np.sin(alpha) + params.cos_cols * np.cos(alpha)
+
+
+def static_allocation(params, sp, w_des):
+    """analysis.static_allocation: (alpha, Omega, u)."""
+    w_des = np.asarray(w_des, dtype=float)
+    u = params.A_pinv @ w_des
+    alpha = extract_tilt_angles(u, np.zeros(6))
+    if sp is not None:
+        F = w_des[:3]
+        F_norm = np.linalg.norm(F)
+        if F_norm > 0.0:
+            alpha = apply_tilt_bias(alpha, tilt_bias_multiplier(z_misalignment(F / F_norm), sp), sp)
+    return alpha, extract_rotor_speeds(u, alpha, params), u
+
+
+def envelope_radius(params, wrenches):
+    """The envelope radius per wrench from np.max of the converged speeds."""
+    peak = np.array([np.max(static_allocation(params, None, w)[1]) for w in wrenches])
+    return np.divide(params.Omega_max, peak, out=np.zeros(len(peak)), where=peak > 0.0)
+
+
+def log10_cond(A):
+    """The condition map's value of one allocation matrix."""
+    svals = np.linalg.svd(A, compute_uv=False)
+    tol = svals[0] * 12 * np.finfo(float).eps
+    if svals[-1] <= tol:
+        return np.inf
+    return np.log10(svals[0] / svals[-1])
+
+
+def wasted_force_index(rotor_thrusts, F_b):
+    f = np.asarray(rotor_thrusts, dtype=float)
+    if np.any(f < 0.0):
+        raise ValueError("rotor thrusts must be nonnegative")
+    total = float(np.sum(f))
+    if total <= 0.0:
+        raise ValueError("wasted_force_index undefined for zero total thrust")
+    return min(1.0, float(np.linalg.norm(F_b) / total))
+
+
+def power_efficiency(rotor_thrusts, params):
+    f = np.asarray(rotor_thrusts, dtype=float)
+    if np.any(f < 0.0):
+        raise ValueError("rotor thrusts must be nonnegative")
+    total_power = float(np.sum(f**1.5))
+    if total_power == 0.0:
+        return 0.0, 0.0
+    f_h = params.m * params.g_mag / 12.0
+    return total_power, min(1.0, 12.0 * f_h**1.5 / total_power)
+
+
+def hover_indices(params, w):
+    """hover_sweep's (eta_P, eta_f, total_power) of one wrench."""
+    alpha, Omega, _ = static_allocation(params, None, w)
+    thrusts = params.c_f * Omega
+    F_b = build_A_alpha(params, alpha) @ Omega
+    total_power, eta_P = power_efficiency(thrusts, params)
+    return eta_P, wasted_force_index(thrusts, F_b[:3]), total_power
 
 
 def quintic_blend(t, T):

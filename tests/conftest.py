@@ -22,13 +22,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(scope="session")
-def logged_ticks():
+def off_nominal_vehicle():
+    """A vehicle 3-7 % off the default, with a centre-of-mass offset, like
+    the benchmark's scatter draws."""
+    import numpy as np
+
+    from omnidyn.vehicle import VehicleParams
+
+    return VehicleParams(m=4.28, J_b=np.diag([0.0744, 0.084, 0.1358]),
+                         x_com=np.array([0.004, -0.003, 0.002]), c_f=1.04e-5)
+
+
+@pytest.fixture(scope="session")
+def logged_ticks(off_nominal_vehicle):
     """Per-tick inputs recorded from closed-loop runs.
 
     The runs are the default cartwheel (16 s) and three runs like the
-    benchmark's scatter draws: a vehicle 3-7 % off the default, with a
-    centre-of-mass offset, started 1 cm, 3 degrees and 0.2 rad/s off its
-    setpoint, on the 5 s singular translation (an arm frozen from 4 s on),
+    benchmark's scatter draws: the off-nominal vehicle, started 1 cm,
+    3 degrees and 0.2 rad/s off its setpoint, on the 5 s singular translation (an arm frozen from 4 s on),
     a 1 s flip and a 1 s rotation. Returns lists of call arguments:
     "controller" (state, setpoint, gains, params), "allocate" (allocator,
     w_des, alpha_prev, dt) and "plant" (state, wrench, dt, params, n_steps).
@@ -54,8 +65,7 @@ def logged_ticks():
         return integrate_step(state, wrench, dt, params, n_steps)
 
     cfg = config.load_run_config(None)
-    drawn = vehicle.VehicleParams(m=4.28, J_b=np.diag([0.0744, 0.084, 0.1358]),
-                                  x_com=np.array([0.004, -0.003, 0.002]), c_f=1.04e-5)
+    drawn = off_nominal_vehicle
     axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
     start = vehicle.RigidBodyState(x=np.array([0.008, -0.005, 0.003]),
                                    R=mathcore.rotation_from_axis_angle(axis, np.deg2rad(3.0)),

@@ -301,6 +301,20 @@ def test_extraction_matches_the_array_formulas_bit_for_bit(logged_ticks):
             assert same_bits(extract_rotor_speeds(u, alpha, p), array_formulas.extract_rotor_speeds(u, alpha, p))
 
 
+def test_extraction_hold_threshold_uses_numpy_hypot():
+    """Arm 1's magnitude equals 1e-9 times np.hypot of arm 0's pair, so arm 1
+    holds; math.hypot rounds that pair one ulp lower and would release it."""
+    import math
+
+    s0, c0 = 0.9346815357621039, 0.9711335709321818
+    u = np.zeros(24)
+    u[0], u[1], u[4] = s0, c0, 1e-9 * float(np.hypot(s0, c0))
+    assert 1e-9 * math.hypot(s0, c0) < u[4]
+    prev = np.full(6, 0.25)
+    assert extract_tilt_angles(u, prev)[1] == 0.25
+    assert same_bits(extract_tilt_angles(u, prev), array_formulas.extract_tilt_angles(u, prev))
+
+
 def prev_for_step(alpha_des, step):
     """alpha_prev within a few ulps of alpha_des - step whose wrapped tilt step
     (theta + pi) % 2 pi - pi, before the -pi fix, is exactly step."""

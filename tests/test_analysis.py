@@ -1,9 +1,12 @@
 """Tests for the characterization sweeps: envelopes, condition maps, efficiency."""
 
+import array_formulas
 import numpy as np
 import pytest
+from array_formulas import same_bits
 from numpy.testing import assert_allclose
 
+from omnidyn import analysis
 from omnidyn.allocation import Allocator
 from omnidyn.analysis import (
     condition_map,
@@ -14,6 +17,7 @@ from omnidyn.analysis import (
     force_envelope,
     hover_power,
     hover_sweep,
+    log10_cond,
     power_efficiency,
     static_allocation,
     torque_envelope,
@@ -218,3 +222,135 @@ def test_envelope_runtime_budget():
     t0 = time.perf_counter()
     force_envelope(p, 2000)
     assert time.perf_counter() - t0 < 5.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def sweep_wrenches(params, n=300):
+    """The wrenches the four sweeps allocate at n directions."""
+    zero = np.zeros((n, 3))
+    weight = params.m * params.g_mag
+    return np.vstack([np.hstack([envelope_directions(n), zero]), np.hstack([zero, envelope_directions(n)]),
+                      np.hstack([condmap_directions(n), zero]),
+                      np.hstack([weight * efficiency_directions(n), zero])])
+
+
+def static_edge_wrenches(params):
+    """Random wrenches over six decades, zero forces with and without torque,
+    signed zeros, forces along each arm axis (the aligned pair degenerates)
+    and inf and NaN entries."""
+    rng = np.random.default_rng(15)
+    cases = list(rng.normal(size=(200, 6)) * np.repeat(10.0 ** np.arange(-3, 3), 200 // 6 + 1)[:200, None])
+    cases += [np.zeros(6), -np.zeros(6), np.array([0.0, -0.0, 0.0, 0.1, -0.2, 0.3]),
+              np.array([-0.0, 0.0, -0.0, -0.0, 0.0, -0.0])]
+    cases += [np.concatenate([axis, np.zeros(3)]) for axis in params.arm_axes]
+    cases += [np.array([INF, 0.0, 1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, NAN, 0.0, 0.0]),
+              np.array([NAN, 0.0, 0.0, 0.0, 0.0, 0.0]), np.array([1e300, 1e300, 1.0, 0.0, 0.0, 0.0])]
+    return cases
+
+
+def test_static_allocation_matches_the_array_formulas_bit_for_bit(off_nominal_vehicle):
+    """static_allocation on Python floats gives the bytes of the array
+    formulas, biased and unbiased, for both vehicles, on every sweep wrench
+    and on the edge cases; its outputs stay ndarrays."""
+    held = 0
+    for p in (VehicleParams(), off_nominal_vehicle):
+        for sp in (None, SingularityParams()):
+            allocator = Allocator(p, sp)
+            for w in [*sweep_wrenches(p, 100), *static_edge_wrenches(p)]:
+                with np.errstate(all="ignore"):
+                    try:
+                        want = array_formulas.static_allocation(p, sp, w)
+                    except ValueError as exc:
+                        # A force whose norm overflows leaves the zero vector, which has no direction.
+                        with pytest.raises(ValueError, match=str(exc)):
+                            static_allocation(w, allocator)
+                        continue
+                    got = static_allocation(w, allocator)
+                assert all(isinstance(a, np.ndarray) for a in got)
+                for name, a, b in zip(("alpha", "Omega", "u"), got, want):
+                    assert same_bits(a, b), (name, w)
+                with np.errstate(all="ignore"):
+                    u = want[2]
+                    mag = np.hypot(u[0::4] + u[2::4], u[1::4] + u[3::4])
+                held += bool(np.any(mag <= 1e-9 * mag.max()))
+    # The arm-axis forces and the zero wrenches exercise the hold.
+    assert held >= 4 * (6 + 4)
+    zero_alpha, zero_Omega, _ = static_allocation(np.zeros(6), Allocator(VehicleParams(), SingularityParams()))
+    assert same_bits(zero_alpha, np.zeros(6)) and same_bits(zero_Omega, np.zeros(12))
+
+
+def test_envelopes_match_the_array_formula_bit_for_bit(off_nominal_vehicle):
+    for p in (VehicleParams(), off_nominal_vehicle):
+        for sweep, torque in ((force_envelope, False), (torque_envelope, True)):
+            dirs, radius = sweep(p, 300)
+            wrenches = np.hstack([np.zeros_like(dirs), dirs] if torque else [dirs, np.zeros_like(dirs)])
+            assert same_bits(radius, array_formulas.envelope_radius(p, wrenches))
+
+
+def test_envelope_peak_keeps_the_nan_of_np_max(monkeypatch):
+    """The envelope peak is np.max of the speeds: NaN wherever a speed is
+    NaN, which makes the radius 0, and signed zeros give radius 0 too."""
+    p = VehicleParams()
+    speeds = [np.array(row, dtype=float) for row in (
+        [NAN] + [1.0] * 11, [1.0] * 11 + [NAN], [2.0, NAN, 3.0] + [0.0] * 9, [NAN] * 12,
+        [-0.0] * 12, [0.0, -0.0] * 6, [0.5] * 12, [0.0] * 11 + [p.Omega_max], list(range(12)))]
+    calls = iter(speeds)
+    monkeypatch.setattr(analysis, "static_allocation", lambda w, allocator: (np.zeros(6), next(calls), None))
+    _, radius = force_envelope(p, len(speeds))
+    peak = np.array([np.max(Omega) for Omega in speeds])
+    assert same_bits(radius, np.divide(p.Omega_max, peak, out=np.zeros(len(peak)), where=peak > 0.0))
+    assert np.array_equal(radius[:6], np.zeros(6))
+
+
+def test_condition_maps_match_the_array_formula_bit_for_bit(off_nominal_vehicle):
+    """log10_cond and condition_map give the bytes of the array formula,
+    the +inf rank-deficient rows included, biased and unbiased."""
+    for p in (VehicleParams(), off_nominal_vehicle):
+        for sp in (None, SingularityParams()):
+            dirs, got = condition_map(p, 300, sp)
+            want = [array_formulas.log10_cond(array_formulas.build_A_alpha(
+                p, array_formulas.static_allocation(p, sp, np.concatenate([d, np.zeros(3)]))[0])) for d in dirs]
+            assert same_bits(got, want)
+            assert sp is not None or np.count_nonzero(np.isinf(got)) >= 14
+    rng = np.random.default_rng(16)
+    A = VehicleParams().sin_cols + VehicleParams().cos_cols
+    rank_one = np.outer(rng.normal(size=6), rng.normal(size=12))
+    for M in (A, 1e-300 * A, 1e300 * A, 5e-324 * A, np.zeros((6, 12)), rank_one, rng.normal(size=(6, 12))):
+        assert same_bits(log10_cond(M), array_formulas.log10_cond(M))
+
+
+def test_hover_sweep_matches_the_array_formulas_bit_for_bit(off_nominal_vehicle):
+    for p in (VehicleParams(), off_nominal_vehicle):
+        dirs, *got = hover_sweep(p, 300)
+        want = np.array([array_formulas.hover_indices(p, np.concatenate([p.m * p.g_mag * d, np.zeros(3)]))
+                         for d in dirs]).T
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+
+def test_efficiency_indices_match_the_array_formulas_bit_for_bit():
+    """power_efficiency and wasted_force_index on floats return or raise as
+    the array formulas do, on signed zeros, NaN, inf and negative thrusts."""
+    p = VehicleParams()
+    rng = np.random.default_rng(17)
+    thrusts = [rng.uniform(0.0, 10.0, 12) for _ in range(50)]
+    thrusts += [np.array(row, dtype=float) for row in (
+        [0.0] * 12, [-0.0] * 12, [NAN] + [1.0] * 11, [INF] + [1.0] * 11, [-1.0] + [1.0] * 11,
+        [NAN, -1.0] + [1.0] * 10, [1e300] * 12, [5e-324] * 12)]
+    forces = [np.array([0.3, -0.4, 12.0]), np.array([-0.0, 0.0, -0.0]), np.array([NAN, 0.0, 0.0]), np.full(3, 1e300)]
+
+    def outcome(f, *args):
+        try:
+            with np.errstate(all="ignore"):
+                return f(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    for f in thrusts:
+        got, want = outcome(power_efficiency, f, p), outcome(array_formulas.power_efficiency, f, p)
+        assert got == want if isinstance(want, str) else same_bits(got, want)
+        for F in forces:
+            got, want = outcome(wasted_force_index, f, F), outcome(array_formulas.wasted_force_index, f, F)
+            assert got == want if isinstance(want, str) else same_bits(got, want)

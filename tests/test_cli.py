@@ -81,6 +81,7 @@ def test_bad_config_is_config_error(tmp_path):
     '{"vehicle": {"g": 5e-324}}',                   # subnormal: 1e-6 m g underflows to 0
     '{"vehicle": {"m": 1e300}}',                    # (m g)^2 overflows the force norm
     '{"vehicle": {"c_f": 2.2e-308}}',               # subnormal: rotor-pair sums overflow
+    '{"vehicle": {"c_f": 2.2250738585072014e-308}}',  # smallest normal: A^+ w of the weight overflows
     '{"vehicle": {"m": 1e300, "g": 1e10}}',         # m * g overflows
     '{"vehicle": {"m": 1e-200, "g": 1e-200}}',      # m * g underflows
     '{"vehicle": [["m", 3.5]]}',                    # blocks must be objects, not pair lists
@@ -157,10 +158,11 @@ def test_time_step_below_floor_is_config_error(tmp_path, capsys, sim):
     assert not out.exists() or list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("vehicle", [{"m": 1e300}, {"c_f": 2.2e-308}])
+@pytest.mark.parametrize("vehicle", [{"m": 1e300}, {"c_f": 2.2e-308}, {"c_f": 2.2250738585072014e-308}])
 def test_extreme_vehicles_exit_2_without_a_warning(tmp_path, vehicle):
     """Run with numpy warnings as errors, these vehicles used to end in a
-    traceback (overflow in the force norm, overflow in the rotor-pair sums)."""
+    traceback (overflow in the force norm, overflow in the rotor-pair sums,
+    overflow in A^+ w and in the tilt extraction)."""
     cfg = tmp_path / "extreme.json"
     cfg.write_text(json.dumps({"vehicle": vehicle}))
     out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "omnidyn.cli", "simulate",
@@ -168,6 +170,18 @@ def test_extreme_vehicles_exit_2_without_a_warning(tmp_path, vehicle):
                          capture_output=True, text=True)
     assert out.returncode == 2, out.stderr
     assert "config error" in out.stderr and "Warning" not in out.stderr
+
+
+def test_smallest_normal_thrust_coefficient_is_config_error_for_efficiency(tmp_path, capsys):
+    """c_f of 2.2250738585072014e-308 passed validation, and `efficiency`
+    then raised an uncaught ValueError (zero total thrust). `simulate` with
+    it is in test_extreme_vehicles_exit_2_without_a_warning."""
+    cfg = tmp_path / "tiny_c_f.json"
+    cfg.write_text('{"vehicle": {"c_f": 2.2250738585072014e-308}}')
+    out = tmp_path / "out"
+    assert cli.main(["efficiency", "--n-dirs", "20", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_log_over_the_row_cap_is_config_error(tmp_path, capsys, monkeypatch):

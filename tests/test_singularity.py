@@ -161,6 +161,29 @@ def test_singular_angles_match_the_per_family_functions_bit_for_bit():
         assert np.array_equal(eta, [arm_alignment(F, i, p) for i in range(6)])
 
 
+def test_z_misalignment_and_singular_angles_use_stored_norms_bit_for_bit(off_nominal_vehicle):
+    """z_misalignment and singular_angles take their row norms from Z_NORMS
+    and VehicleParams.singular_norms, which are the norms angle_between
+    computes, and give the bytes of the single-vector array formulas."""
+    NAN = float("nan")
+    rng = np.random.default_rng(11)
+    dirs = rng.normal(size=(1500, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    near_z = np.column_stack([rng.normal(scale=1e-7, size=(200, 2)), np.ones(200)])
+    edge = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [1.0, -0.0, 0.0], [-0.0, -0.0, 1e-150],
+                     [1.0, 1.0, 1.0], [NAN, 0.0, 1.0], [1e150, 0.0, -1e150]])
+    for F in np.vstack([dirs, near_z, edge]):
+        assert same_bits(z_misalignment(F), array_formulas.z_misalignment(F))
+    for p in (VehicleParams(), off_nominal_vehicle, VehicleParams(gamma=np.arange(6) * np.pi / 3.0 + 0.1)):
+        assert same_bits(p.singular_norms, np.sqrt(np.vecdot(p.singular_lines, p.singular_lines)))
+        for F in np.vstack([dirs, near_z, edge]):
+            phi_z, eta = array_formulas.singular_angles(F, p)
+            got_phi, got_eta = singular_angles(F, p)
+            assert same_bits(got_phi, phi_z) and same_bits(got_eta, eta)
+    with pytest.raises(ValueError, match="zero-length"):
+        z_misalignment(np.zeros(3))
+
+
 def test_damping_passthrough_when_inactive():
     sp = SingularityParams()
     delta = np.array([0.01, -0.02, 0.03, 0.0, 0.005, -0.01])

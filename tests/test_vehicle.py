@@ -59,6 +59,24 @@ def test_params_validation_rejects(bad):
         VehicleParams(**bad)
 
 
+def test_params_reject_a_thrust_coefficient_whose_allocation_overflows():
+    """A^+ w must stay finite with headroom for the weight and for unit
+    wrenches: the smallest normal c_f overflowed the rotor-pair sums of the
+    hover wrench, and a tiny mass does not excuse it, as the sweeps allocate
+    1 N. Omega_max plays no part."""
+    tiny_normal = 2.2250738585072014e-308
+    for bad in (dict(c_f=tiny_normal), dict(c_f=tiny_normal, m=1e-300),
+                dict(c_f=tiny_normal, Omega_max=1.7976931348623157e308), dict(c_f=1e-200, m=1e150)):
+        with pytest.raises(ValueError, match="allocation of the weight overflows"):
+            VehicleParams(**bad)
+    for good in (dict(c_f=1e-300), dict(c_f=1e-300, m=1e-300), dict(m=1e150)):
+        p = VehicleParams(**good)
+        bound = np.abs(p.A_pinv).sum(axis=1).max() * max(p.m * p.g_mag, 1.0)
+        assert bound < np.finfo(float).max / vehicle.ALLOCATION_HEADROOM
+        w = np.array([0.0, 0.0, p.m * p.g_mag, 0.0, 0.0, 0.0])
+        assert np.all(np.isfinite(Allocator(p).allocate(w, np.zeros(6), 0.005).Omega_cmd))
+
+
 def test_params_are_frozen_and_replace_rederives():
     p = VehicleParams()
     with pytest.raises(dataclasses.FrozenInstanceError):

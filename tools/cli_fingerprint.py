@@ -3,8 +3,8 @@
 Runs, in-process through `omnidyn.cli.main` and with default configuration,
 `envelope`, `condmap`, `condmap --biased` and `efficiency` at 400 directions
 and `simulate` for each of the six experiments. Then, with a non-default
-vehicle written to OUT_DIR/vehicle.json, runs `envelope`, `condmap --biased`
-and `simulate --experiment singular-translation`, so that the path from a
+vehicle written to OUT_DIR/vehicle.json, runs the same four sweeps and
+`simulate --experiment singular-translation`, so that the path from a
 config file to the vehicle's derived allocation geometry is checked too.
 Each run writes into its own subdirectory of OUT_DIR. Then prints one
 sorted `sha256  path` line per file, with paths relative to OUT_DIR.
@@ -38,7 +38,9 @@ RUNS = (
 VEHICLE = {"vehicle": {"m": 3.5, "l_x": 0.25, "c_f": 1.2e-5, "x_com": [0.005, 0.0, 0.0]}}
 VEHICLE_RUNS = (
     ("vehicle-envelope", ["envelope", "--n-dirs", N_DIRS]),
+    ("vehicle-condmap", ["condmap", "--n-dirs", N_DIRS]),
     ("vehicle-condmap-biased", ["condmap", "--biased", "--n-dirs", N_DIRS]),
+    ("vehicle-efficiency", ["efficiency", "--n-dirs", N_DIRS]),
     ("vehicle-simulate-singular-translation", ["simulate", "--experiment", "singular-translation"]),
 )
 
