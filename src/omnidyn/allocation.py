@@ -11,6 +11,10 @@ the commanded tilt angles to obtain nonnegative rotor speeds.
 Column and u-vector ordering: arm i contributes four consecutive entries
 [sin upper, cos upper, sin lower, cos lower] at offset 4*i. Rotor j
 sits on arm vehicle.ARM[j], upper rotors 0-5 first.
+
+Finiteness has one rule, in tilt_angles: a rotor-pair magnitude of A^+ w
+that is not finite (an inf or NaN wrench, or a u that overflows) raises
+FloatingPointError, so every later step works on finite floats.
 """
 
 from __future__ import annotations
@@ -47,17 +51,18 @@ def tilt_angles(u, alpha_prev):
     """extract_tilt_angles on Python floats: u as 24 floats, alpha_prev as 6;
     returns a list of six angles.
 
-    The pair sums and the threshold and hold run on floats; np.hypot and
+    Raises FloatingPointError when a rotor-pair magnitude is not finite. The
+    pair sums and the threshold and hold run on floats; np.hypot and
     np.arctan2 stay in numpy (math.hypot and math.atan2 round differently).
     """
     S = np.array([u[0] + u[2], u[4] + u[6], u[8] + u[10], u[12] + u[14], u[16] + u[18], u[20] + u[22]])
     C = np.array([u[1] + u[3], u[5] + u[7], u[9] + u[11], u[13] + u[15], u[17] + u[19], u[21] + u[23]])
     mag = np.hypot(S, C).tolist()
+    if not all(map(math.isfinite, mag)):
+        raise FloatingPointError("allocation is not finite: a rotor pair of A^+ w is inf or NaN")
     alpha_des = np.arctan2(S, C).tolist()
-    # The magnitudes are nonnegative, so their sum is NaN exactly when one of
-    # them is; mag.max() is NaN then, and no arm holds.
-    thr = math.nan if math.isnan(sum(mag)) else DEGENERATE_REL_TOL * max(mag)
-    if min(mag) > thr:  # no arm holds (never taken when thr is NaN)
+    thr = DEGENERATE_REL_TOL * max(mag)
+    if min(mag) > thr:  # no arm holds
         return alpha_des
     return [prev if m <= thr else a for prev, m, a in zip(alpha_prev, mag, alpha_des)]
 
@@ -78,12 +83,8 @@ def rotor_speeds(u, alpha, Omega_max):
     hi = Omega_max
     upper, lower = [], []
     for a, s_up, c_up, s_lo, c_lo in zip(alpha, u[0::4], u[1::4], u[2::4], u[3::4]):
-        try:
-            s, c = math.sin(a), math.cos(a)
-        except ValueError:
-            # np.sin and np.cos of inf give NaN; math.sin raises. NaN gives NaN in both.
-            s = c = a - a
-        # The clamp of ndarray.clip: NaN stays NaN and a -0.0 projection stays -0.0.
+        s, c = math.sin(a), math.cos(a)
+        # The clamp of ndarray.clip, which keeps a -0.0 projection.
         w = s * s_up + c * c_up
         upper.append(0.0 if w < 0.0 else hi if w > hi else w)
         w = s * s_lo + c * c_lo
@@ -100,6 +101,20 @@ def extract_rotor_speeds(u, alpha, params: VehicleParams):
     rotor order (upper rotors 0-5, then lower rotors 6-11).
     """
     return np.array(rotor_speeds(np.asarray(u, dtype=float).tolist(), alpha, params.Omega_max))
+
+
+def force_direction(F, params: VehicleParams):
+    """F / |F| for a force the singularity handlers can act on, else None.
+
+    A force below 1e-6 m g, or one whose norm overflows, has no usable
+    direction. Allocator.allocate and analysis.static_allocation both gate
+    their handlers on this.
+    """
+    # np.linalg.norm(F) is this square root of F.dot(F).
+    F_norm = math.sqrt(F.dot(F))
+    if 1e-6 * params.m * params.g_mag <= F_norm < math.inf:
+        return F / F_norm
+    return None
 
 
 @dataclass
@@ -125,7 +140,7 @@ class Allocator:
 
         Order: pseudo-inverse solve, tilt-angle extraction, wrapped tilt
         step, tilt bias, damping and unwinding, rate limit, rotor-speed
-        projection.
+        projection. Raises FloatingPointError when A^+ w is not finite.
         """
         params = self.params
         w_des = np.asarray(w_des, dtype=float)
@@ -142,13 +157,10 @@ class Allocator:
 
         k_t = 0.0
         k_alpha = [0.0] * 6
-        F = w_des[:3]
-        # np.linalg.norm(F) is this square root of F.dot(F).
-        F_norm = math.sqrt(F.dot(F))
         sp = self.sing_params
-        # A force too small, or one whose norm overflows, has no usable direction.
-        if sp is not None and 1e-6 * params.m * params.g_mag <= F_norm < math.inf:
-            phi_z, eta = singular_angles(F / F_norm, params)
+        F_dir = None if sp is None else force_direction(w_des[:3], params)
+        if F_dir is not None:
+            phi_z, eta = singular_angles(F_dir, params)
             k_t = tilt_bias_multiplier(phi_z, sp)
             delta = apply_tilt_bias(delta, k_t, sp)
             k_alpha = damping_multiplier(eta, sp)

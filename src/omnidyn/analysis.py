@@ -19,6 +19,10 @@ match:
 - f**1.5 and the sums of the rotor thrusts (numpy's sum adds pairwise).
 The pair sums, holds, bias, rotor projection and clamp, the envelope peak,
 the rank tolerance and the efficiency indices are floats.
+
+static_allocation follows the allocation's finiteness rule: a wrench whose
+A^+ w is not finite raises FloatingPointError, so the sweeps only ever see
+finite speeds.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 
 import numpy as np
 
-from .allocation import Allocator, rotor_speeds, tilt_angles
+from .allocation import Allocator, force_direction, rotor_speeds, tilt_angles
 from .singularity import SingularityParams, apply_tilt_bias, tilt_bias_multiplier, z_misalignment
 from .vehicle import VehicleParams, build_A_alpha
 
@@ -93,9 +97,10 @@ def static_allocation(w_des, allocator: Allocator):
     Solves the minimum-norm allocation and extracts tilt angles with no
     rate limiting (degenerate arms hold zero). When the allocator carries
     singularity params, the converged tilt-bias offsets are added before
-    the rotor speeds are projected, as Allocator.allocate does. Runs the
+    the rotor speeds are projected, as Allocator.allocate does, for the
+    forces that allocation.force_direction gives a direction. Runs the
     allocation's float steps (tilt_angles, apply_tilt_bias, rotor_speeds)
-    and returns ndarrays.
+    and returns ndarrays. Raises FloatingPointError when A^+ w is not finite.
     """
     params = allocator.params
     w_des = np.asarray(w_des, dtype=float)
@@ -104,12 +109,9 @@ def static_allocation(w_des, allocator: Allocator):
     u_list = u.tolist()
     alpha = tilt_angles(u_list, ZERO_TILT)
     sp = allocator.sing_params
-    if sp is not None:
-        F = w_des[:3]
-        # np.linalg.norm(F) is this square root of F.dot(F).
-        F_norm = math.sqrt(F.dot(F))
-        if F_norm > 0.0:
-            alpha = apply_tilt_bias(alpha, tilt_bias_multiplier(z_misalignment(F / F_norm), sp), sp)
+    F_dir = None if sp is None else force_direction(w_des[:3], params)
+    if F_dir is not None:
+        alpha = apply_tilt_bias(alpha, tilt_bias_multiplier(z_misalignment(F_dir), sp), sp)
     return np.array(alpha), np.array(rotor_speeds(u_list, alpha, params.Omega_max)), u
 
 
@@ -118,13 +120,7 @@ def _envelope(params, n_dirs, torque):
     dirs = envelope_directions(n_dirs)
     zero = np.zeros_like(dirs)
     wrenches = np.hstack([zero, dirs] if torque else [dirs, zero])
-    peak = []
-    for w in wrenches:
-        Omega = static_allocation(w, allocator)[1].tolist()
-        # np.max(Omega): the speeds are nonnegative or NaN, so their sum is NaN
-        # exactly when one is, and np.max is NaN then.
-        peak.append(math.nan if math.isnan(sum(Omega)) else max(Omega))
-    peak = np.array(peak)
+    peak = np.array([max(static_allocation(w, allocator)[1].tolist()) for w in wrenches])
     # Extraction is homogeneous in the wrench magnitude at fixed direction,
     # so the largest feasible scale hits Omega_max exactly.
     radius = np.divide(params.Omega_max, peak, out=np.zeros(len(dirs)), where=peak > 0.0)

@@ -4,18 +4,19 @@ Position and attitude errors are mapped to a desired body wrench with
 proportional-derivative feedback, gravity compensation, gyroscopic
 feedforward, and a center-of-mass counter-torque. The controller is
 stateless: each tick is a pure function of state, setpoint, and gains.
+It runs on Python floats and does not guard against overflow: a wrench
+that is not finite is caught by the allocation's finiteness rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# compute_errors applies vee's check on floats; vee stays bound here because
-# perfbench/tracer.py looks it up in this module.
-from .mathcore import SKEW_TOL, vee  # noqa: F401
+# compute_errors takes the entries of vee on floats; vee stays bound here
+# because perfbench/tracer.py looks it up in this module.
+from .mathcore import vee  # noqa: F401
 from .vehicle import RigidBodyState, VehicleParams, Wrench
 
 
@@ -73,26 +74,18 @@ class ControlErrors:
 def compute_errors(state: RigidBodyState, sp: TrajectorySetpoint) -> ControlErrors:
     """Tracking errors: e_p, e_v inertial; e_R, e_omega in the body frame.
 
-    e_R = vee(R_sp^T R - R^T R_sp) / 2 and e_omega = omega - R^T R_sp omega_sp.
-    The matmuls stay numpy (BLAS may fuse multiply-adds); R^T R_sp is formed
-    once for both errors, and vee's skew check and the arithmetic on the
-    3-vectors run on Python floats.
+    e_R = vee(M) / 2 with M = B^T - B and B = R^T R_sp, and
+    e_omega = omega - B omega_sp. B is the one matmul for both errors and
+    stays numpy (BLAS may fuse multiply-adds); M is skew-symmetric by
+    construction, and its entries and the 3-vector arithmetic are floats.
     """
-    R_t_R_sp = state.R.T @ sp.R_sp
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = (sp.R_sp.T @ state.R).tolist()
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = R_t_R_sp.tolist()
-    m00, m01, m02 = a00 - b00, a01 - b01, a02 - b02
-    m10, m11, m12 = a10 - b10, a11 - b11, a12 - b12
-    m20, m21, m22 = a20 - b20, a21 - b21, a22 - b22
-    # vee's check, np.abs(M + M.T).max() > SKEW_TOL. A NaN entry makes that max
-    # NaN, so the check passes; the sum of the entries is NaN exactly then.
-    sums = (abs(m00 + m00), abs(m01 + m10), abs(m02 + m20), abs(m11 + m11), abs(m12 + m21), abs(m22 + m22))
-    if max(sums) > SKEW_TOL and not math.isnan(sum(sums)):
-        raise ValueError("vee: input is not skew-symmetric")
+    B = state.R.T @ sp.R_sp
+    (_, b01, b02), (b10, _, b12), (b20, b21, _) = B.tolist()
     w0, w1, w2 = state.omega_b.tolist()
-    r0, r1, r2 = (R_t_R_sp @ sp.omega_sp).tolist()
+    r0, r1, r2 = (B @ sp.omega_sp).tolist()
+    # vee(M) = (M[2, 1], M[0, 2], M[1, 0]), with M[i, j] = B[j, i] - B[i, j].
     return ControlErrors(e_p=state.x - sp.x_sp, e_v=state.v - sp.v_sp,
-                         e_R=np.array((0.5 * m21, 0.5 * m02, 0.5 * m10)),
+                         e_R=np.array((0.5 * (b12 - b21), 0.5 * (b20 - b02), 0.5 * (b01 - b10))),
                          e_omega=np.array((w0 - r0, w1 - r1, w2 - r2)))
 
 
@@ -119,9 +112,8 @@ def control_wrench(errors: ControlErrors, state: RigidBodyState,
     p0, p1, p2 = errors.e_p.tolist()
     v0, v1, v2 = errors.e_v.tolist()
     s0, s1, s2 = sp.a_sp.tolist()
-    # + 0.0 is the x and y entry of g e_z; like the array sum, it turns a -0.0 into 0.0.
-    a_cmd = np.array((-k_p * p0 - k_v * v0 + s0 + 0.0,
-                      -k_p * p1 - k_v * v1 + s1 + 0.0,
+    a_cmd = np.array((-k_p * p0 - k_v * v0 + s0,
+                      -k_p * p1 - k_v * v1 + s1,
                       -k_p * p2 - k_v * v2 + s2 + params.g_mag))
     R_t = state.R.T
     a0, a1, a2 = (R_t @ a_cmd).tolist()

@@ -125,10 +125,10 @@ class SimLog:
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when the plant state stops being finite; carries the partial log.
+    """Raised when the plant state stops being finite, or a tick's wrench has
+    no finite allocation; carries the partial log of every completed row.
 
-    simulate's message names the control tick whose physics steps diverged
-    and that tick's time.
+    simulate's message names the control tick that diverged and its time.
     """
 
     def __init__(self, message, log: SimLog):
@@ -142,7 +142,8 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
     """Run the controller/allocation/plant loop over a trajectory.
 
     Raises ConfigError, before the first tick, when the log would have more
-    than MAX_LOG_ROWS rows.
+    than MAX_LOG_ROWS rows, or when the tilt step limit alpha_dot_max *
+    dt_control overflows: a finite limit keeps every tilt command finite.
     """
     config = config or SimConfig()
     duration = config.duration if config.duration is not None else trajectory.duration
@@ -150,6 +151,9 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
     if n_ticks + 1 > MAX_LOG_ROWS:
         raise ConfigError(f"a run of {duration:g} s at dt_control {config.dt_control:g} s logs "
                           f"{n_ticks + 1} rows, more than the {MAX_LOG_ROWS} allowed")
+    if not math.isfinite(params.alpha_dot_max * config.dt_control):
+        raise ConfigError(f"the tilt step limit alpha_dot_max * dt_control overflows "
+                          f"({params.alpha_dot_max:g} rad/s at {config.dt_control:g} s)")
     steps_per_tick = int(round(config.dt_control / config.dt_physics))
 
     allocator = Allocator(params, sing_params)
@@ -164,12 +168,19 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
     n_cols = sum(w for _, w in LOG_FIELDS)
     rows = np.empty((n_ticks + 1, n_cols))
 
+    def diverged(exc, n_rows):
+        partial = SimLog(data=rows[:n_rows].copy(), dt_control=config.dt_control)
+        return SimulationDiverged(f"{exc} in control tick {k} (t = {t:.9g} s)", partial)
+
     for k in range(n_ticks + 1):
         t = k * config.dt_control
         sp = trajectory.sampler(t)
         errors = compute_errors(state, sp)
         wrench_des = control_wrench(errors, state, sp, gains, params)
-        cmd = allocator.allocate(wrench_des.as_vector(), alpha, config.dt_control)
+        try:
+            cmd = allocator.allocate(wrench_des.as_vector(), alpha, config.dt_control)
+        except FloatingPointError as exc:
+            raise diverged(exc, k) from exc
         alpha = cmd.alpha_cmd
 
         A_alpha = build_A_alpha(params, alpha)
@@ -198,8 +209,7 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
         try:
             state = integrate_step(state, plant_wrench, config.dt_physics, params, steps_per_tick)
         except RuntimeError as exc:
-            partial = SimLog(data=rows[:k + 1].copy(), dt_control=config.dt_control)
-            raise SimulationDiverged(f"{exc} in control tick {k} (t = {t:.9g} s)", partial) from exc
+            raise diverged(exc, k + 1) from exc
 
     return SimLog(data=rows, dt_control=config.dt_control)
 

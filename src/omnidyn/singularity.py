@@ -14,6 +14,9 @@ degenerate geometry:
   internal cabling does not wind up.
 
 The derivative-level allocation matrix used for analysis lives here too.
+
+The handlers take the finite tilt steps and angles of an allocation that
+passed its finiteness rule (omnidyn.allocation), and run on Python floats.
 """
 
 from __future__ import annotations
@@ -127,9 +130,9 @@ def damping_multiplier(eta, params: SingularityParams):
     """Damping gain k_alpha: 1 (frozen) up to phi_0, quadratic ramp to 0 at phi_d.
 
     One angle gives a float; a sequence of angles gives a list with one
-    gain per angle. The ramp is clipped as ndarray.clip clips (NaN stays
-    NaN) and squared through pow, as np.float_power does, so the gains
-    are those of the array formula bit for bit.
+    gain per angle. The ramp is clipped to [0, 1] and squared through pow,
+    as np.float_power does, so the gains are those of the array formula
+    bit for bit.
     """
     phi_0, span = params.phi_0, params.phi_d - params.phi_0
     scalar = isinstance(eta, (float, int, np.number))
@@ -153,17 +156,14 @@ def apply_damping_and_unwind(delta_alpha_tilde, k_alpha, alpha_prev, params: Sin
         base = alpha_prev + delta_alpha_tilde * (1 - k_alpha)
         crossing = sign(base) == sign(alpha_prev) & |unwind| >= |base| & alpha_prev != 0
         delta_alpha_star = where(crossing, 0, base + unwind) - alpha_prev
-
-    with np.sign, which maps both zeros to +0.0 and NaN to itself.
     """
     omega_u = params.omega_u
     steps = []
     for d, k, prev in zip(delta_alpha_tilde, k_alpha, alpha_prev):
-        # -np.sign(prev): -1, 1, -0.0 for either zero, or the NaN negated.
-        neg_sign = -1.0 if prev > 0.0 else 1.0 if prev < 0.0 else -0.0 if prev == 0.0 else -prev
-        unwind = neg_sign * k * omega_u * dt
+        sign = 1.0 if prev > 0.0 else -1.0 if prev < 0.0 else 0.0
+        unwind = -sign * k * omega_u * dt
         base = prev + d * (1.0 - k)
-        # Equal signs with prev != 0 (a NaN sign equals nothing): both positive or both negative.
+        # Equal signs with prev != 0: both positive or both negative.
         same_side = base > 0.0 if prev > 0.0 else base < 0.0 if prev < 0.0 else False
         crossing = same_side and abs(unwind) >= abs(base)
         steps.append((0.0 if crossing else base + unwind) - prev)

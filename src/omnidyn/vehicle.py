@@ -5,6 +5,11 @@ arm carries a counter-rotating rotor pair (upper rotor j = arm index i,
 lower rotor j = i + 6; ARM maps each rotor to its arm). Thrust is
 quadratic in rotor speed, so all rotor "speeds" Omega in this package are
 squared speeds in (rad/s)^2.
+
+VehicleParams rejects every vehicle whose allocation would leave the
+normal floats (non-finite or subnormal parameters, overflowing matrices,
+a hover thrust that underflows); integrate_step raises RuntimeError on a
+state that stops being finite.
 """
 
 from __future__ import annotations
@@ -132,6 +137,14 @@ class VehicleParams:
             if not u_bound < sys.float_info.max / ALLOCATION_HEADROOM:
                 raise ValueError("allocation of the weight overflows: c_f is too small for m * g "
                                  "(A^+ w must stay finite with headroom)")
+        # The rotor thrust of level hover, the weight shared by the twelve rotors
+        # and capped at full speed, must be a normal float. Below that, A^+ w of
+        # the weight (c_f of 1e300 with m of 1e-300) or c_f * Omega_max
+        # (Omega_max of 5e-324) underflows, and the sweeps see zero thrust.
+        hover_thrust = self.c_f * min(self.m * self.g_mag / (12.0 * self.c_f), self.Omega_max)
+        if not hover_thrust >= tiny:
+            raise ValueError("hover thrust per rotor, c_f * min(m g / (12 c_f), Omega_max), "
+                             "underflows: it must be a normal float")
         arm_axes = np.stack([np.cos(self.gamma), np.sin(self.gamma), np.zeros(6)], axis=-1)
         # Negated, not built, so the signed zeros are those of -Z_AXIS and -axis.
         singular_lines = np.vstack([Z_AXIS, -Z_AXIS, arm_axes, -arm_axes])
@@ -242,7 +255,9 @@ def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehiclePar
     f + a t x f + b t x (t x f); the Lie algebra increment K_i =
     dexp^-1_t(w_i) truncated after its third term, w_i + t_i x w_i / 2 +
     t_i x (t_i x w_i) / 12; and the Euler rate k_i = J^-1 (tau - w_i x J w_i).
-    The four stages are written out in the loop.
+    Stage 1 has t = 0, so it takes f and K_1 = omega as they are; stages 2-4
+    run one body in a loop, and the RK4 sums grow stage by stage in the
+    left-to-right order of a_1 + 2 a_2 + 2 a_3 + a_4.
     """
     x0, x1, x2 = state.x.tolist()
     v0, v1, v2 = state.v.tolist()
@@ -255,87 +270,48 @@ def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehiclePar
     J0, J1, J2 = params.J_b.diagonal().tolist()
     half = 0.5 * dt
     sixth = dt / 6.0
-    # Stage 1 has t = 0, so exp(hat(t)) has a = 1 and b = 1/2 and its
-    # q = exp(hat(t)) f is the same in every step. The zero cross products are
-    # still formed: they can flip the sign of a zero entry of f.
-    t0 = t1 = t2 = 0.0
-    c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
-    d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-    q0, q1, q2 = f0 + 1.0 * c0 + 0.5 * d0, f1 + 1.0 * c1 + 0.5 * d1, f2 + 1.0 * c2 + 0.5 * d2
+    # (c_i dt, RK4 weight) of stages 2-4.
+    stages = ((half, 2.0), (half, 2.0), (dt, 1.0))
 
     for _ in range(n_steps):
         # Stage 1: t = 0 and w = omega.
-        t0 = t1 = t2 = 0.0
-        p0, p1, p2 = w0, w1, w2
-        ax1, ay1, az1 = (r00 * q0 + r01 * q1 + r02 * q2, r10 * q0 + r11 * q1 + r12 * q2,
-                         r20 * q0 + r21 * q1 + r22 * q2 - g_mag)
-        c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
-        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-        Kx1, Ky1, Kz1 = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
-        h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
-        kx1, ky1, kz1 = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
-                         (tau2 - (p0 * h1 - p1 * h0)) / J2)
-
-        # Stage 2: t = half K1, w = omega + half k1.
-        t0, t1, t2 = half * Kx1, half * Ky1, half * Kz1
-        p0, p1, p2 = w0 + half * kx1, w1 + half * ky1, w2 + half * kz1
-        ea, eb = _exp_coefficients(t0, t1, t2)
-        c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
-        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-        u0, u1, u2 = f0 + ea * c0 + eb * d0, f1 + ea * c1 + eb * d1, f2 + ea * c2 + eb * d2
-        ax2, ay2, az2 = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2,
-                         r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
-        c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
-        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-        Kx2, Ky2, Kz2 = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
-        h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
-        kx2, ky2, kz2 = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
-                         (tau2 - (p0 * h1 - p1 * h0)) / J2)
-
-        # Stage 3: t = half K2, w = omega + half k2.
-        t0, t1, t2 = half * Kx2, half * Ky2, half * Kz2
-        p0, p1, p2 = w0 + half * kx2, w1 + half * ky2, w2 + half * kz2
-        ea, eb = _exp_coefficients(t0, t1, t2)
-        c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
-        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-        u0, u1, u2 = f0 + ea * c0 + eb * d0, f1 + ea * c1 + eb * d1, f2 + ea * c2 + eb * d2
-        ax3, ay3, az3 = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2,
-                         r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
-        c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
-        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-        Kx3, Ky3, Kz3 = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
-        h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
-        kx3, ky3, kz3 = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
-                         (tau2 - (p0 * h1 - p1 * h0)) / J2)
-
-        # Stage 4: t = dt K3, w = omega + dt k3.
-        t0, t1, t2 = dt * Kx3, dt * Ky3, dt * Kz3
-        p0, p1, p2 = w0 + dt * kx3, w1 + dt * ky3, w2 + dt * kz3
-        ea, eb = _exp_coefficients(t0, t1, t2)
-        c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
-        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-        u0, u1, u2 = f0 + ea * c0 + eb * d0, f1 + ea * c1 + eb * d1, f2 + ea * c2 + eb * d2
-        ax4, ay4, az4 = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2,
-                         r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
-        c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
-        d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
-        Kx4, Ky4, Kz4 = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
-        h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
-        kx4, ky4, kz4 = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
-                         (tau2 - (p0 * h1 - p1 * h0)) / J2)
-        # x' = v: the stage velocities are v, v + dt/2 a1, v + dt/2 a2, v + dt a3.
-        x0 = x0 + sixth * (6.0 * v0 + dt * (ax1 + ax2 + ax3))
-        x1 = x1 + sixth * (6.0 * v1 + dt * (ay1 + ay2 + ay3))
-        x2 = x2 + sixth * (6.0 * v2 + dt * (az1 + az2 + az3))
-        v0 = v0 + sixth * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-        v1 = v1 + sixth * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
-        v2 = v2 + sixth * (az1 + 2.0 * az2 + 2.0 * az3 + az4)
-        w0 = w0 + sixth * (kx1 + 2.0 * kx2 + 2.0 * kx3 + kx4)
-        w1 = w1 + sixth * (ky1 + 2.0 * ky2 + 2.0 * ky3 + ky4)
-        w2 = w2 + sixth * (kz1 + 2.0 * kz2 + 2.0 * kz3 + kz4)
-        t0 = sixth * (Kx1 + 2.0 * Kx2 + 2.0 * Kx3 + Kx4)
-        t1 = sixth * (Ky1 + 2.0 * Ky2 + 2.0 * Ky3 + Ky4)
-        t2 = sixth * (Kz1 + 2.0 * Kz2 + 2.0 * Kz3 + Kz4)
+        Kx, Ky, Kz = w0, w1, w2
+        ax, ay, az = (r00 * f0 + r01 * f1 + r02 * f2, r10 * f0 + r11 * f1 + r12 * f2,
+                      r20 * f0 + r21 * f1 + r22 * f2 - g_mag)
+        h0, h1, h2 = J0 * w0, J1 * w1, J2 * w2
+        kx, ky, kz = ((tau0 - (w1 * h2 - w2 * h1)) / J0, (tau1 - (w2 * h0 - w0 * h2)) / J1,
+                      (tau2 - (w0 * h1 - w1 * h0)) / J2)
+        # Running RK4 sums of a, k and K, and the sum a_1 + a_2 + a_3 for x.
+        svx, svy, svz = sxx, sxy, sxz = ax, ay, az
+        swx, swy, swz = kx, ky, kz
+        stx, sty, stz = Kx, Ky, Kz
+        for cdt, weight in stages:
+            t0, t1, t2 = cdt * Kx, cdt * Ky, cdt * Kz
+            p0, p1, p2 = w0 + cdt * kx, w1 + cdt * ky, w2 + cdt * kz
+            ea, eb = _exp_coefficients(t0, t1, t2)
+            c0, c1, c2 = t1 * f2 - t2 * f1, t2 * f0 - t0 * f2, t0 * f1 - t1 * f0
+            d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+            u0, u1, u2 = f0 + ea * c0 + eb * d0, f1 + ea * c1 + eb * d1, f2 + ea * c2 + eb * d2
+            ax, ay, az = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2,
+                          r20 * u0 + r21 * u1 + r22 * u2 - g_mag)
+            c0, c1, c2 = t1 * p2 - t2 * p1, t2 * p0 - t0 * p2, t0 * p1 - t1 * p0
+            d0, d1, d2 = t1 * c2 - t2 * c1, t2 * c0 - t0 * c2, t0 * c1 - t1 * c0
+            Kx, Ky, Kz = p0 + 0.5 * c0 + d0 / 12.0, p1 + 0.5 * c1 + d1 / 12.0, p2 + 0.5 * c2 + d2 / 12.0
+            h0, h1, h2 = J0 * p0, J1 * p1, J2 * p2
+            kx, ky, kz = ((tau0 - (p1 * h2 - p2 * h1)) / J0, (tau1 - (p2 * h0 - p0 * h2)) / J1,
+                          (tau2 - (p0 * h1 - p1 * h0)) / J2)
+            svx, svy, svz = svx + weight * ax, svy + weight * ay, svz + weight * az
+            swx, swy, swz = swx + weight * kx, swy + weight * ky, swz + weight * kz
+            stx, sty, stz = stx + weight * Kx, sty + weight * Ky, stz + weight * Kz
+            if weight == 2.0:
+                # x' = v: the stage velocities are v, v + dt/2 a1, v + dt/2 a2, v + dt a3.
+                sxx, sxy, sxz = sxx + ax, sxy + ay, sxz + az
+        x0 = x0 + sixth * (6.0 * v0 + dt * sxx)
+        x1 = x1 + sixth * (6.0 * v1 + dt * sxy)
+        x2 = x2 + sixth * (6.0 * v2 + dt * sxz)
+        v0, v1, v2 = v0 + sixth * svx, v1 + sixth * svy, v2 + sixth * svz
+        w0, w1, w2 = w0 + sixth * swx, w1 + sixth * swy, w2 + sixth * swz
+        t0, t1, t2 = sixth * stx, sixth * sty, sixth * stz
 
         ea, eb = _exp_coefficients(t0, t1, t2)
         # exp(hat(t)) = I + a hat(t) + b (t t^T - |t|^2 I)

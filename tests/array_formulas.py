@@ -131,15 +131,15 @@ def build_A_alpha(params, alpha):
 
 
 def static_allocation(params, sp, w_des):
-    """analysis.static_allocation: (alpha, Omega, u)."""
+    """analysis.static_allocation: (alpha, Omega, u). The handlers are gated
+    as in allocate."""
     w_des = np.asarray(w_des, dtype=float)
     u = params.A_pinv @ w_des
     alpha = extract_tilt_angles(u, np.zeros(6))
-    if sp is not None:
-        F = w_des[:3]
-        F_norm = np.linalg.norm(F)
-        if F_norm > 0.0:
-            alpha = apply_tilt_bias(alpha, tilt_bias_multiplier(z_misalignment(F / F_norm), sp), sp)
+    F = w_des[:3]
+    F_norm = np.linalg.norm(F)
+    if sp is not None and 1e-6 * params.m * params.g_mag <= F_norm < np.inf:
+        alpha = apply_tilt_bias(alpha, tilt_bias_multiplier(z_misalignment(F / F_norm), sp), sp)
     return alpha, extract_rotor_speeds(u, alpha, params), u
 
 

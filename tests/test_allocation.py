@@ -12,6 +12,7 @@ from omnidyn.allocation import (
     extract_rotor_speeds,
     extract_tilt_angles,
 )
+from omnidyn.analysis import static_allocation
 from omnidyn.singularity import SingularityParams, arm_alignment, z_misalignment
 from omnidyn.vehicle import VehicleParams
 
@@ -275,7 +276,8 @@ NAN, INF = float("nan"), float("inf")
 def test_extraction_matches_the_array_formulas_bit_for_bit(logged_ticks):
     """extract_tilt_angles and extract_rotor_speeds on Python floats give
     the bytes of the array formulas on every logged tick and on signed
-    zeros, a magnitude exactly at the hold threshold, and inf and NaN."""
+    zeros, extreme angles and a magnitude exactly at the hold threshold;
+    a u with an inf or NaN rotor pair raises FloatingPointError."""
     p = VehicleParams()
     cases = []
     for allocator, w_des, alpha_prev, dt in logged_ticks["allocate"]:
@@ -288,17 +290,26 @@ def test_extraction_matches_the_array_formulas_bit_for_bit(logged_ticks):
     above[5] = np.nextafter(1e-9, 1.0)
     signed = np.where(np.arange(24) % 3 == 0, -0.0, 0.0)
     odd = embed(np.linspace(-3.0, 3.0, 6), np.linspace(0.2, 1.0, 12))
-    odd[[1, 6, 13]] = [INF, NAN, -INF]
     prev = np.array([0.1, -0.0, 0.0, -2.5, 3.0, 1e-300])
-    weird = np.array([INF, -INF, NAN, -0.0, 0.0, 1e300])
-    for u in (tie, above, signed, np.full(24, -0.0), odd, np.full(24, NAN)):
+    weird = np.array([-1e300, 5e-324, -5e-324, -0.0, 0.0, 1e300])
+    for u in (tie, above, signed, np.full(24, -0.0), odd):
         cases += [(u, prev, prev), (u, weird, weird)]
     assert same_bits(extract_tilt_angles(tie, prev)[1], prev[1])   # the tie holds
     assert not same_bits(extract_tilt_angles(above, prev)[1], prev[1])
     for u, alpha_prev, alpha in cases:
-        with np.errstate(all="ignore"):
-            assert same_bits(extract_tilt_angles(u, alpha_prev), array_formulas.extract_tilt_angles(u, alpha_prev))
-            assert same_bits(extract_rotor_speeds(u, alpha, p), array_formulas.extract_rotor_speeds(u, alpha, p))
+        assert same_bits(extract_tilt_angles(u, alpha_prev), array_formulas.extract_tilt_angles(u, alpha_prev))
+        assert same_bits(extract_rotor_speeds(u, alpha, p), array_formulas.extract_rotor_speeds(u, alpha, p))
+    # Non-finite rotor pairs: an inf or NaN entry, and finite entries whose pair sum overflows.
+    overflow = np.zeros(24)
+    overflow[[0, 2]] = 1e308
+    bad = [np.full(24, NAN), overflow]
+    for index, value in ((1, INF), (6, NAN), (13, -INF)):
+        bad.append(odd.copy())
+        bad[-1][index] = value
+    for u in bad:
+        for alpha_prev in (prev, weird):
+            with pytest.raises(FloatingPointError, match="not finite"):
+                extract_tilt_angles(u, alpha_prev)
 
 
 def test_extraction_hold_threshold_uses_numpy_hypot():
@@ -331,8 +342,9 @@ def prev_for_step(alpha_des, step):
 
 def allocate_edge_cases():
     """(allocator, w_des, alpha_prev, dt): tilt steps exactly at the rate
-    limit and wraps landing exactly on -pi, signed zeros, infinite and NaN
-    wrenches, and rate limits of inf and 0 from extreme alpha_dot_max."""
+    limit and wraps landing exactly on -pi, signed zeros, a force whose norm
+    overflows, and rate limits of 0 and near the largest float from extreme
+    alpha_dot_max."""
     p, sp = VehicleParams(), SingularityParams()
     plain, handled = Allocator(p), Allocator(p, sp)
     w = uniform_tilt_wrench(p, 0.4)
@@ -347,8 +359,6 @@ def allocate_edge_cases():
     for allocator in (plain, handled):
         cases += [(allocator, np.zeros(6), zeros, 0.005), (allocator, -np.zeros(6), np.zeros(6), 0.005),
                   (allocator, np.array([0.0, -0.0, 40.0, 0.0, -0.0, 0.0]), zeros, 0.005),
-                  (allocator, np.array([INF, 0.0, 40.0, 0.0, 0.0, 0.0]), zeros, 0.005),
-                  (allocator, np.array([0.0, 0.0, 40.0, NAN, 0.0, 0.0]), zeros, 0.005),
                   (allocator, np.array([1e300, 1e300, 40.0, 0.0, 0.0, 0.0]), zeros, 0.005)]
     for rate in (1.7976931348623157e308, 5e-324):
         fast = VehicleParams(alpha_dot_max=rate)
@@ -370,3 +380,35 @@ def test_allocate_matches_the_array_formulas_bit_for_bit(logged_ticks):
         for name, a, b in zip(("alpha_cmd", "Omega_cmd", "alpha_des", "k_t", "k_alpha"), got, want):
             assert same_bits(a, b), name
         assert all(isinstance(a, np.ndarray) for a in (cmd.alpha_cmd, cmd.Omega_cmd, cmd.alpha_des, cmd.k_alpha))
+
+
+def test_allocate_raises_on_a_wrench_whose_allocation_is_not_finite():
+    """inf and NaN wrench entries, and a finite wrench whose A^+ w
+    overflows, raise FloatingPointError with or without the handlers."""
+    p = VehicleParams()
+    big = 1.7976931348623157e308
+    for allocator in (Allocator(p), Allocator(p, SingularityParams())):
+        for w_des in (np.array([INF, 0.0, 40.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 40.0, NAN, 0.0, 0.0]),
+                      np.array([0.0, 0.0, -INF, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, big, 0.0, 0.0, 0.0])):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+                allocator.allocate(w_des, np.zeros(6), 0.005)
+
+
+def test_both_entries_gate_the_handlers_at_1e_6_m_g():
+    """Allocator.allocate and analysis.static_allocation run the handlers
+    for a force of exactly 1e-6 m g and the next float above it, and skip
+    them one float below it and for a force whose norm overflows. Along +z
+    the tilt bias is at full strength when it runs."""
+    for p in (VehicleParams(), VehicleParams(m=2.5, g_mag=3.7)):
+        handled, plain = Allocator(p, SingularityParams()), Allocator(p)
+        threshold = 1e-6 * p.m * p.g_mag
+        for F_z, on in ((threshold, True), (np.nextafter(threshold, np.inf), True),
+                        (np.nextafter(threshold, 0.0), False), (1e-9, False), (0.0, False)):
+            w = np.array([0.0, 0.0, F_z, 0.0, 0.0, 0.0])
+            assert handled.allocate(w, np.zeros(6), 0.005).k_t == (1.0 if on else 0.0), F_z
+            biased = static_allocation(w, handled)[0] - static_allocation(w, plain)[0]
+            assert same_bits(biased, handled.sing_params.b * handled.sing_params.c_t if on else np.zeros(6)), F_z
+        with np.errstate(over="ignore"):
+            overflowing = np.array([1e300, 1e300, 1.0, 0.0, 0.0, 0.0])
+            assert handled.allocate(overflowing, np.zeros(6), 0.005).k_t == 0.0
+            assert same_bits(static_allocation(overflowing, handled)[0], static_allocation(overflowing, plain)[0])

@@ -84,6 +84,8 @@ def test_bad_config_is_config_error(tmp_path):
     '{"vehicle": {"c_f": 2.2250738585072014e-308}}',  # smallest normal: A^+ w of the weight overflows
     '{"vehicle": {"m": 1e300, "g": 1e10}}',         # m * g overflows
     '{"vehicle": {"m": 1e-200, "g": 1e-200}}',      # m * g underflows
+    '{"vehicle": {"Omega_max": 5e-324}}',           # hover thrust c_f * Omega_max underflows
+    '{"vehicle": {"c_f": 1e300, "m": 1e-300}}',     # hover speed m g / (12 c_f) underflows
     '{"vehicle": [["m", 3.5]]}',                    # blocks must be objects, not pair lists
     '{"gains": []}',
     '{"sim": [["dt_control", 0.01]]}',
@@ -182,6 +184,54 @@ def test_smallest_normal_thrust_coefficient_is_config_error_for_efficiency(tmp_p
     assert cli.main(["efficiency", "--n-dirs", "20", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("vehicle", [{"Omega_max": 5e-324}, {"c_f": 1e300, "m": 1e-300}])
+@pytest.mark.parametrize("args", [("efficiency", "--n-dirs", "20"), ("envelope", "--n-dirs", "20"),
+                                  ("simulate", "--experiment", "hover")])
+def test_vehicles_whose_hover_thrust_underflows_are_config_errors(tmp_path, capsys, vehicle, args):
+    """These vehicles passed validation: `efficiency` then raised an uncaught
+    ValueError (zero total thrust), and `envelope` and `simulate` exited 0."""
+    cfg = tmp_path / "underflow.json"
+    cfg.write_text(json.dumps({"vehicle": vehicle}))
+    out = tmp_path / "out"
+    assert cli.main([*args, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "hover thrust per rotor" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_tilt_step_limit_that_overflows_is_config_error(tmp_path, capsys):
+    """alpha_dot_max * dt_control of 3e308 let the unwinding of a damped arm
+    reach the rotor projection as an infinite tilt angle (math.sin raised,
+    exit 1); the run is refused before its first tick."""
+    cfg = tmp_path / "fast_tilt.json"
+    cfg.write_text(json.dumps({"vehicle": {"alpha_dot_max": 1e308},
+                               "singularity": {"omega_u": 1e308, "phi_0_deg": 5.0, "phi_d_deg": 89.0},
+                               "sim": {"dt_physics": 3.0, "dt_control": 3.0}}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--experiment", "translation", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "alpha_dot_max * dt_control overflows" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_overflowing_wrench_exits_3_with_a_finite_partial_log(tmp_path, capsys):
+    """The largest float as k_p overflows A^+ w of the commanded wrench in
+    tick 2 of hover. The allocation's finiteness rule stops the run there:
+    exit 3, the message names the tick, and the log holds the two completed
+    rows, all finite. numpy warns of the overflow on the way."""
+    cfg = tmp_path / "stiff.json"
+    cfg.write_text(json.dumps({"gains": {"k_p": 1.7976931348623157e308}}))
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        status = cli.main(["simulate", "--experiment", "hover", "--config", str(cfg), "--out", str(out)])
+    assert status == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: allocation is not finite" in err
+    assert "control tick 2 (t = 0.01 s)" in err
+    assert [p.name for p in out.iterdir()] == ["hover_log.csv"]
+    header, rows = read_csv(out / "hover_log.csv")
+    assert header == log_column_names()
+    assert rows.shape[0] == 2 and np.all(np.isfinite(rows))
 
 
 def test_log_over_the_row_cap_is_config_error(tmp_path, capsys, monkeypatch):

@@ -103,6 +103,12 @@ def assert_finite_json(path):
 @example(config={"vehicle": {"m": 1e300}}, experiment="hover", duration=0.01)
 # A time step of 1e-300 s never finished, or asked for a log of 1e301 rows.
 @example(config={"sim": {"dt_physics": 1e-300, "dt_control": 1e-300}}, experiment="hover", duration=0.01)
+# A tilt step limit that overflows let an infinite tilt angle reach math.sin.
+@example(config={"vehicle": {"alpha_dot_max": 1e308}, "singularity": {"omega_u": 1e308, "phi_d_deg": 89.0},
+                 "sim": {"dt_physics": 3.0, "dt_control": 3.0}}, experiment="translation", duration=12.0)
+# Vehicles whose hover thrust underflows to zero.
+@example(config={"vehicle": {"Omega_max": 5e-324}}, experiment="hover", duration=0.01)
+@example(config={"vehicle": {"c_f": 1e300, "m": 1e-300}}, experiment="flip", duration=0.03)
 @given(config=st.one_of(run_config(valid=True), run_config(valid=False)), experiment=st.sampled_from(cli.EXPERIMENTS),
        duration=st.sampled_from([0.0, 0.01, 0.03]))
 def test_simulate_never_exits_1_or_raises(config, experiment, duration):
