@@ -15,6 +15,8 @@ sits on arm vehicle.ARM[j], upper rotors 0-5 first.
 Finiteness has one rule, in tilt_angles: a rotor-pair magnitude of A^+ w
 that is not finite (an inf or NaN wrench, or a u that overflows) raises
 FloatingPointError, so every later step works on finite floats.
+solve_and_gate forms A^+ w and the force norm without numpy's overflow
+warnings, so the rule, not a warning, reports such a wrench.
 """
 
 from __future__ import annotations
@@ -39,12 +41,17 @@ from .singularity import (
 # because perfbench/tracer.py looks them up in this module.
 from .singularity import arm_alignment, z_misalignment  # noqa: F401
 # rotor_columns is bound here so that perfbench/tracer.py can count column builds.
-from .vehicle import VehicleParams, build_A_alpha, rotor_columns
+from .vehicle import ALLOCATION_HEADROOM, VehicleParams, build_A_alpha, rotor_columns
 
 # Pair magnitudes below this fraction of the largest arm's are treated as
 # zero in the tilt-angle extraction (the angle is no longer informative).
 DEGENERATE_REL_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
+# VehicleParams keeps A^+ w of a wrench with entries up to max(m g, 1) >= 1
+# ALLOCATION_HEADROOM below the largest float, so entries below a tenth of
+# the headroom overflow neither A^+ w nor |F|^2, and solve_and_gate skips
+# np.errstate for them (about 1 us a call).
+QUIET_WRENCH = 0.1 * ALLOCATION_HEADROOM
 
 
 def tilt_angles(u, alpha_prev):
@@ -117,6 +124,24 @@ def force_direction(F, params: VehicleParams):
     return None
 
 
+def solve_and_gate(w_des, params: VehicleParams, sing_params: SingularityParams | None):
+    """(u, F_dir): u = A^+ w and the handlers' force direction of w
+    (force_direction; None without sing_params).
+
+    A wrench too large for either overflows without numpy's warnings: the
+    rule in tilt_angles then raises for u, and an infinite norm gives no
+    direction. Allocator.allocate and analysis.static_allocation both start
+    with this.
+    """
+    # min and max return a leading NaN, which fails the test, and skip any
+    # other; a NaN overflows nothing.
+    w = w_des.tolist()
+    if -QUIET_WRENCH < min(w) and max(w) < QUIET_WRENCH:
+        return params.A_pinv.dot(w_des), None if sing_params is None else force_direction(w_des[:3], params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return params.A_pinv.dot(w_des), None if sing_params is None else force_direction(w_des[:3], params)
+
+
 @dataclass
 class ActuatorCommand:
     """Allocation output: tilt angles, rotor speeds, handler diagnostics."""
@@ -146,7 +171,8 @@ class Allocator:
         w_des = np.asarray(w_des, dtype=float)
         alpha_prev = np.asarray(alpha_prev, dtype=float)
 
-        u = params.A_pinv @ w_des
+        sp = self.sing_params
+        u, F_dir = solve_and_gate(w_des, params, sp)
         prev = alpha_prev.tolist()
         alpha_des = extract_tilt_angles(u, prev)
         # wrap_angle(alpha_des - alpha_prev), on floats.
@@ -157,8 +183,6 @@ class Allocator:
 
         k_t = 0.0
         k_alpha = [0.0] * 6
-        sp = self.sing_params
-        F_dir = None if sp is None else force_direction(w_des[:3], params)
         if F_dir is not None:
             phi_z, eta = singular_angles(F_dir, params)
             k_t = tilt_bias_multiplier(phi_z, sp)

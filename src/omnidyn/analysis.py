@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .allocation import Allocator, force_direction, rotor_speeds, tilt_angles
+from .allocation import Allocator, rotor_speeds, solve_and_gate, tilt_angles
 from .singularity import SingularityParams, apply_tilt_bias, tilt_bias_multiplier, z_misalignment
 from .vehicle import VehicleParams, build_A_alpha
 
@@ -104,12 +104,10 @@ def static_allocation(w_des, allocator: Allocator):
     """
     params = allocator.params
     w_des = np.asarray(w_des, dtype=float)
-    # A_pinv @ w_des, through ndarray.dot (see the module docstring).
-    u = params.A_pinv.dot(w_des)
+    sp = allocator.sing_params
+    u, F_dir = solve_and_gate(w_des, params, sp)
     u_list = u.tolist()
     alpha = tilt_angles(u_list, ZERO_TILT)
-    sp = allocator.sing_params
-    F_dir = None if sp is None else force_direction(w_des[:3], params)
     if F_dir is not None:
         alpha = apply_tilt_bias(alpha, tilt_bias_multiplier(z_misalignment(F_dir), sp), sp)
     return np.array(alpha), np.array(rotor_speeds(u_list, alpha, params.Omega_max)), u
@@ -127,12 +125,12 @@ def _envelope(params, n_dirs, torque):
     return dirs, radius
 
 
-def force_envelope(params: VehicleParams, n_dirs=2000):
+def force_envelope(params: VehicleParams, n_dirs):
     """(dirs, radius): largest force magnitude per direction with zero torque, N."""
     return _envelope(params, n_dirs, torque=False)
 
 
-def torque_envelope(params: VehicleParams, n_dirs=2000):
+def torque_envelope(params: VehicleParams, n_dirs):
     """(dirs, radius): largest torque magnitude per direction with zero force, N m."""
     return _envelope(params, n_dirs, torque=True)
 
@@ -147,7 +145,7 @@ def log10_cond(A):
     return float(np.log10(s_max / s_min))
 
 
-def condition_map(params: VehicleParams, n_dirs=2000, sing_params: SingularityParams | None = None):
+def condition_map(params: VehicleParams, n_dirs, sing_params: SingularityParams | None = None):
     """(dirs, log10_cond) of the instantaneous allocation matrix.
 
     Evaluated at the converged tilt angles for a unit force request in
@@ -195,7 +193,7 @@ def power_efficiency(rotor_thrusts, params: VehicleParams):
     return total_power, min(1.0, hover_power(params) / total_power)
 
 
-def hover_sweep(params: VehicleParams, n_orientations=2000):
+def hover_sweep(params: VehicleParams, n_orientations):
     """(dirs, eta_P, eta_f, total_power) of hovering with the weight along
     each body direction.
 

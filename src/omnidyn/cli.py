@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .analysis import condition_map, force_envelope, hover_sweep, torque_envelope
-from .config import ConfigError, load_run_config
+from .config import MAX_DIRECTIONS, ConfigError, load_run_config
 from .simulation import SimulationDiverged, simulate, tracking_summary
 # Bound under this name so that perfbench/tracer.py can time CSV export.
 from .simulation import write_csv as _write_csv
@@ -35,7 +35,16 @@ from .trajectories import (
     make_translation,
 )
 
-EXPERIMENTS = ("translation", "rotation", "flip", "singular-translation", "cartwheel", "hover")
+# Experiment name -> trajectory factory of the run configuration.
+TRAJECTORIES = {
+    "translation": lambda cfg: make_translation(),
+    "rotation": lambda cfg: make_rotation(),
+    "flip": lambda cfg: make_flip(),
+    "singular-translation": lambda cfg: make_singular_translation(cfg.vehicle),
+    "cartwheel": lambda cfg: make_cartwheel(),
+    "hover": lambda cfg: make_hover(),
+}
+EXPERIMENTS = tuple(TRAJECTORIES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,8 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _direction_count(text):
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if not 1 <= value <= MAX_DIRECTIONS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_DIRECTIONS}, got {value}")
     return value
 
 
@@ -66,7 +75,7 @@ def _build_parser():
 
     p_sim = sub.add_parser("simulate", help="run one closed-loop experiment")
     common(p_sim)
-    p_sim.add_argument("--experiment", metavar="NAME", required=True,
+    p_sim.add_argument("--experiment", metavar="NAME", required=True, choices=EXPERIMENTS,
                        help=f"one of: {', '.join(EXPERIMENTS)}")
 
     p_env = sub.add_parser("envelope", help="force/torque envelope sweeps")
@@ -89,29 +98,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+# Kept as a function: the CLI fuzz test shortens the experiments by patching it.
 def _make_trajectory(name, run_config):
-    if name == "translation":
-        return make_translation()
-    if name == "rotation":
-        return make_rotation()
-    if name == "flip":
-        return make_flip()
-    if name == "singular-translation":
-        return make_singular_translation(run_config.vehicle)
-    if name == "cartwheel":
-        return make_cartwheel()
-    if name == "hover":
-        return make_hover()
-    raise KeyError(name)
+    return TRAJECTORIES[name](run_config)
 
 
 def _cmd_simulate(args, cfg, out_dir):
-    if args.experiment not in EXPERIMENTS:
-        print(f"omnidyn: error: unknown experiment '{args.experiment}' "
-              f"(choose from {', '.join(EXPERIMENTS)})", file=sys.stderr)
-        return 1
-    trajectory = _make_trajectory(args.experiment, cfg)
     name = args.experiment
+    trajectory = _make_trajectory(name, cfg)
     log_path = os.path.join(out_dir, f"{name}_log.csv")
     try:
         log = simulate(trajectory, cfg.vehicle, cfg.gains, cfg.singularity, cfg.sim)

@@ -1,9 +1,12 @@
 """Run configuration: JSON loading, validation, and the effective-config echo.
 
-The JSON schema mirrors the parameter dataclasses block by block; any
-subset may be given and the rest falls back to defaults. Placeholder
-values that are design choices rather than measured properties carry a
-"source": "assumed" annotation in the echoed effective configuration.
+BLOCKS is the schema. Each parameter block names its dataclass and has one
+row per JSON key: (key, dataclass field, load conversion, echo conversion).
+The allowed keys, the loading and the echo all read it, and the defaults
+live in the dataclasses and RunConfig alone. Any subset of keys may be
+given and the rest falls back to the defaults. Placeholder values that are
+design choices rather than measured properties carry a "source": "assumed"
+annotation in the echoed effective configuration.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from .simulation import ConfigError, SimConfig
 from .singularity import SingularityParams
 from .vehicle import VehicleParams
 
+# Larger sweeps are refused before any direction array is built.
+MAX_DIRECTIONS = 1_000_000
 
 # Parameters that are plausible placeholders, not physically measured values.
 ASSUMED_SOURCES = {
@@ -33,10 +38,47 @@ ASSUMED_SOURCES = {
     "sim": "assumed",
 }
 
+# (load, echo) conversions between a JSON value and a dataclass field.
+SCALAR = (float, float)
+VECTOR = (lambda x: np.asarray(x, dtype=float), list)
+DIAGONAL = (lambda d: np.diag(np.asarray(d, dtype=float)), lambda J: list(np.diag(J)))
+DEGREES = (lambda deg: float(np.deg2rad(deg)), lambda rad: float(np.rad2deg(rad)))
+
+BLOCKS = {
+    "vehicle": (VehicleParams, (
+        ("m", "m", *SCALAR),
+        ("J_diag", "J_b", *DIAGONAL),
+        ("x_com", "x_com", *VECTOR),
+        ("l_x", "l_x", *SCALAR),
+        ("c_f", "c_f", *SCALAR),
+        ("c_d", "c_d", *SCALAR),
+        ("Omega_max", "Omega_max", *SCALAR),
+        ("alpha_dot_max", "alpha_dot_max", *SCALAR),
+        ("g", "g_mag", *SCALAR),
+    )),
+    "gains": (Gains, (
+        ("k_p", "k_p", *SCALAR),
+        ("k_v", "k_v", *SCALAR),
+        ("k_R", "k_R", *SCALAR),
+        ("k_omega", "k_omega", *SCALAR),
+    )),
+    "singularity": (SingularityParams, (
+        ("phi_0_deg", "phi_0", *DEGREES),
+        ("phi_d_deg", "phi_d", *DEGREES),
+        ("phi_t_deg", "phi_t", *DEGREES),
+        ("c_t_deg", "c_t", *DEGREES),
+        ("omega_u", "omega_u", *SCALAR),
+    )),
+    "sim": (SimConfig, (
+        ("dt_physics", "dt_physics", *SCALAR),
+        ("dt_control", "dt_control", *SCALAR),
+    )),
+}
+
 
 @dataclass
 class RunConfig:
-    """All parameter blocks a command needs, plus sweep defaults."""
+    """All parameter blocks a command needs, plus the sweep direction count."""
 
     vehicle: VehicleParams = field(default_factory=VehicleParams)
     gains: Gains = field(default_factory=Gains)
@@ -45,44 +87,17 @@ class RunConfig:
     n_dirs: int = 2000
 
     def __post_init__(self):
-        if self.n_dirs < 1:
-            raise ValueError("n_dirs must be at least 1")
+        if isinstance(self.n_dirs, bool) or not isinstance(self.n_dirs, int):
+            raise TypeError(f"n_dirs must be an integer, got {self.n_dirs!r}")
+        if not 1 <= self.n_dirs <= MAX_DIRECTIONS:
+            raise ValueError(f"n_dirs must be between 1 and {MAX_DIRECTIONS}")
 
     def effective_dict(self):
         """JSON-serializable echo of every effective parameter."""
-        v = self.vehicle
-        return {
-            "vehicle": {
-                "m": v.m,
-                "J_diag": list(np.diag(v.J_b)),
-                "x_com": list(v.x_com),
-                "l_x": v.l_x,
-                "c_f": v.c_f,
-                "c_d": v.c_d,
-                "Omega_max": v.Omega_max,
-                "alpha_dot_max": v.alpha_dot_max,
-                "g": v.g_mag,
-            },
-            "gains": {
-                "k_p": self.gains.k_p,
-                "k_v": self.gains.k_v,
-                "k_R": self.gains.k_R,
-                "k_omega": self.gains.k_omega,
-            },
-            "singularity": {
-                "phi_0_deg": float(np.rad2deg(self.singularity.phi_0)),
-                "phi_d_deg": float(np.rad2deg(self.singularity.phi_d)),
-                "phi_t_deg": float(np.rad2deg(self.singularity.phi_t)),
-                "c_t_deg": float(np.rad2deg(self.singularity.c_t)),
-                "omega_u": self.singularity.omega_u,
-            },
-            "sim": {
-                "dt_physics": self.sim.dt_physics,
-                "dt_control": self.sim.dt_control,
-            },
-            "n_dirs": self.n_dirs,
-            "sources": dict(ASSUMED_SOURCES),
-        }
+        echo = {name: {key: to_json(getattr(getattr(self, name), attr))
+                       for key, attr, _, to_json in rows}
+                for name, (_, rows) in BLOCKS.items()}
+        return {**echo, "n_dirs": self.n_dirs, "sources": dict(ASSUMED_SOURCES)}
 
 
 def _check_keys(block_name, block, allowed):
@@ -91,55 +106,18 @@ def _check_keys(block_name, block, allowed):
         raise ConfigError(f"unknown key(s) in '{block_name}': {sorted(unknown)}")
 
 
-def _block(raw, name, allowed):
-    """A copy of the parameter block `name` ({} when absent), checked to be
-    an object with known keys."""
-    block = raw.get(name, {})
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{name}' must be a JSON object")
-    _check_keys(name, block, allowed)
-    return dict(block)
-
-
 def _build(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level configuration must be a JSON object")
-    _check_keys("<top level>", raw, {"vehicle", "gains", "singularity", "sim", "n_dirs", "sources"})
-
-    v = _block(raw, "vehicle", {"m", "J_diag", "x_com", "l_x", "c_f", "c_d",
-                                "Omega_max", "alpha_dot_max", "g"})
-    vehicle_kwargs = {}
-    if "J_diag" in v:
-        vehicle_kwargs["J_b"] = np.diag(np.asarray(v.pop("J_diag"), dtype=float))
-    if "g" in v:
-        vehicle_kwargs["g_mag"] = float(v.pop("g"))
-    if "x_com" in v:
-        vehicle_kwargs["x_com"] = np.asarray(v.pop("x_com"), dtype=float)
-    vehicle_kwargs.update({k: float(val) for k, val in v.items()})
-
-    g = _block(raw, "gains", {"k_p", "k_v", "k_R", "k_omega"})
-    s = _block(raw, "singularity", {"phi_0_deg", "phi_d_deg", "phi_t_deg", "c_t_deg", "omega_u"})
-    sing_kwargs = {}
-    for deg_key, rad_key in (("phi_0_deg", "phi_0"), ("phi_d_deg", "phi_d"),
-                             ("phi_t_deg", "phi_t"), ("c_t_deg", "c_t")):
-        if deg_key in s:
-            sing_kwargs[rad_key] = float(np.deg2rad(s[deg_key]))
-    if "omega_u" in s:
-        sing_kwargs["omega_u"] = float(s["omega_u"])
-
-    sim = _block(raw, "sim", {"dt_physics", "dt_control"})
-
-    n_dirs = raw.get("n_dirs", 2000)
-    if isinstance(n_dirs, bool) or not isinstance(n_dirs, int):
-        raise ConfigError(f"n_dirs must be an integer, got {n_dirs!r}")
-
-    return RunConfig(
-        vehicle=VehicleParams(**vehicle_kwargs),
-        gains=Gains(**{k: float(val) for k, val in g.items()}),
-        singularity=SingularityParams(**sing_kwargs),
-        sim=SimConfig(**{k: float(val) for k, val in sim.items()}),
-        n_dirs=n_dirs,
-    )
+    _check_keys("<top level>", raw, [*BLOCKS, "n_dirs", "sources"])
+    kwargs = {"n_dirs": raw["n_dirs"]} if "n_dirs" in raw else {}
+    for name, (cls, rows) in BLOCKS.items():
+        block = raw.get(name, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"'{name}' must be a JSON object")
+        _check_keys(name, block, [key for key, *_ in rows])
+        kwargs[name] = cls(**{attr: load(block[key]) for key, attr, load, _ in rows if key in block})
+    return RunConfig(**kwargs)
 
 
 def load_run_config(path=None) -> RunConfig:
@@ -155,6 +133,9 @@ def load_run_config(path=None) -> RunConfig:
         raise ConfigError(
             f"config file is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError as exc:
+        # Bytes that are not UTF-8, or an integer of more than 4300 digits.
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     # Conversions and dataclass checks anywhere in _build raise these.
     try:
         return _build(raw)

@@ -264,8 +264,7 @@ def test_pipeline_skips_handlers_when_the_force_norm_overflows():
     instead of testing the zero vector F / inf."""
     alc = Allocator(VehicleParams(), SingularityParams())
     w_des = np.array([0.0, 1e300, 1e300, 0.0, 0.0, 0.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        cmd = alc.allocate(w_des, np.zeros(6), 0.005)
+    cmd = alc.allocate(w_des, np.zeros(6), 0.005)
     assert cmd.k_t == 0.0
     assert np.array_equal(cmd.k_alpha, np.zeros(6))
 
@@ -375,7 +374,7 @@ def test_allocate_matches_the_array_formulas_bit_for_bit(logged_ticks):
     for allocator, w_des, alpha_prev, dt in logged_ticks["allocate"] + allocate_edge_cases():
         with np.errstate(all="ignore"):
             want = array_formulas.allocate(allocator.params, allocator.sing_params, w_des, alpha_prev, dt)
-            cmd = allocator.allocate(w_des, alpha_prev, dt)
+        cmd = allocator.allocate(w_des, alpha_prev, dt)
         got = (cmd.alpha_cmd, cmd.Omega_cmd, cmd.alpha_des, cmd.k_t, cmd.k_alpha)
         for name, a, b in zip(("alpha_cmd", "Omega_cmd", "alpha_des", "k_t", "k_alpha"), got, want):
             assert same_bits(a, b), name
@@ -390,7 +389,7 @@ def test_allocate_raises_on_a_wrench_whose_allocation_is_not_finite():
     for allocator in (Allocator(p), Allocator(p, SingularityParams())):
         for w_des in (np.array([INF, 0.0, 40.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 40.0, NAN, 0.0, 0.0]),
                       np.array([0.0, 0.0, -INF, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, big, 0.0, 0.0, 0.0])):
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            with pytest.raises(FloatingPointError):
                 allocator.allocate(w_des, np.zeros(6), 0.005)
 
 
@@ -408,7 +407,6 @@ def test_both_entries_gate_the_handlers_at_1e_6_m_g():
             assert handled.allocate(w, np.zeros(6), 0.005).k_t == (1.0 if on else 0.0), F_z
             biased = static_allocation(w, handled)[0] - static_allocation(w, plain)[0]
             assert same_bits(biased, handled.sing_params.b * handled.sing_params.c_t if on else np.zeros(6)), F_z
-        with np.errstate(over="ignore"):
-            overflowing = np.array([1e300, 1e300, 1.0, 0.0, 0.0, 0.0])
-            assert handled.allocate(overflowing, np.zeros(6), 0.005).k_t == 0.0
-            assert same_bits(static_allocation(overflowing, handled)[0], static_allocation(overflowing, plain)[0])
+        overflowing = np.array([1e300, 1e300, 1.0, 0.0, 0.0, 0.0])
+        assert handled.allocate(overflowing, np.zeros(6), 0.005).k_t == 0.0
+        assert same_bits(static_allocation(overflowing, handled)[0], static_allocation(overflowing, plain)[0])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from omnidyn import cli, simulation
+from omnidyn.config import MAX_DIRECTIONS, RunConfig
 from omnidyn.simulation import log_column_names
 from omnidyn.vehicle import DIVERGED
 
@@ -50,6 +51,14 @@ def test_unknown_experiment_writes_nothing(tmp_path):
     out = run_cli("simulate", "--experiment", "wat", "--out", tmp_path)
     assert out.returncode == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_experiment_is_found_before_the_config(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{not json")
+    out = run_cli("simulate", "--experiment", "wat", "--config", cfg, "--out", tmp_path / "out")
+    assert out.returncode == 1
+    assert "invalid choice" in out.stderr and "config error" not in out.stderr
 
 
 def test_bad_config_is_config_error(tmp_path):
@@ -104,6 +113,39 @@ def test_n_dirs_below_one_is_usage_error(tmp_path, capsys, n_dirs):
     assert cli.main(["envelope", "--n-dirs", n_dirs, "--out", str(tmp_path)]) == 1
     assert "--n-dirs" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def no_sweeps(monkeypatch):
+    """Fail any sweep that starts: a refused direction count builds no array."""
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    for name in ("force_envelope", "torque_envelope", "condition_map", "hover_sweep"):
+        monkeypatch.setattr(cli, name, never)
+
+
+@pytest.mark.parametrize("n_dirs", [10**30, MAX_DIRECTIONS + 1])
+def test_n_dirs_above_the_cap_is_usage_error(tmp_path, capsys, no_sweeps, n_dirs):
+    """10**30 directions died in fibonacci_sphere with an uncaught ValueError."""
+    assert cli.main(["envelope", "--n-dirs", str(n_dirs), "--out", str(tmp_path)]) == 1
+    assert f"between 1 and {MAX_DIRECTIONS}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_dirs", [10**30, MAX_DIRECTIONS + 1])
+def test_config_n_dirs_above_the_cap_is_config_error(tmp_path, capsys, no_sweeps, n_dirs):
+    cfg = tmp_path / "many.json"
+    cfg.write_text(json.dumps({"n_dirs": n_dirs}))
+    out = tmp_path / "out"
+    assert cli.main(["efficiency", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"n_dirs must be between 1 and {MAX_DIRECTIONS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_direction_cap_itself_is_accepted():
+    assert cli._direction_count(str(MAX_DIRECTIONS)) == MAX_DIRECTIONS
+    assert RunConfig(n_dirs=MAX_DIRECTIONS).n_dirs == MAX_DIRECTIONS
 
 
 def test_linear_algebra_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -218,12 +260,11 @@ def test_overflowing_wrench_exits_3_with_a_finite_partial_log(tmp_path, capsys):
     """The largest float as k_p overflows A^+ w of the commanded wrench in
     tick 2 of hover. The allocation's finiteness rule stops the run there:
     exit 3, the message names the tick, and the log holds the two completed
-    rows, all finite. numpy warns of the overflow on the way."""
+    rows, all finite."""
     cfg = tmp_path / "stiff.json"
     cfg.write_text(json.dumps({"gains": {"k_p": 1.7976931348623157e308}}))
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        status = cli.main(["simulate", "--experiment", "hover", "--config", str(cfg), "--out", str(out)])
+    status = cli.main(["simulate", "--experiment", "hover", "--config", str(cfg), "--out", str(out)])
     assert status == 3
     err = capsys.readouterr().err
     assert "numerical failure: allocation is not finite" in err
@@ -232,6 +273,17 @@ def test_overflowing_wrench_exits_3_with_a_finite_partial_log(tmp_path, capsys):
     header, rows = read_csv(out / "hover_log.csv")
     assert header == log_column_names()
     assert rows.shape[0] == 2 and np.all(np.isfinite(rows))
+
+
+def test_overflowing_wrench_exits_3_without_a_warning(tmp_path):
+    """numpy warned "overflow encountered in dot" (the force norm) and "in
+    matmul" (A^+ w) before the allocation's finiteness rule stopped the run."""
+    cfg = tmp_path / "stiff.json"
+    cfg.write_text(json.dumps({"gains": {"k_p": 1.7976931348623157e308}}))
+    out = subprocess.run([*CLI, "simulate", "--experiment", "hover", "--config", str(cfg),
+                          "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert out.returncode == 3, out.stderr
+    assert "numerical failure" in out.stderr and "Warning" not in out.stderr
 
 
 def test_log_over_the_row_cap_is_config_error(tmp_path, capsys, monkeypatch):

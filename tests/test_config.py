@@ -87,3 +87,52 @@ def test_effective_dict_round_trips_through_loader(tmp_path):
     assert reloaded.sim.dt_control == cfg.sim.dt_control
     assert reloaded.n_dirs == cfg.n_dirs
     assert reloaded.effective_dict() == cfg.effective_dict()
+
+
+# Every key of every block, each set away from its default. Listed by hand,
+# not from config.BLOCKS, so that a dropped or mis-mapped schema row fails.
+ALL_KEYS = {
+    "vehicle": {"m": 3.5, "J_diag": [0.07, 0.09, 0.15], "x_com": [0.004, -0.002, 0.001], "l_x": 0.25,
+                "c_f": 1.2e-5, "c_d": 0.02, "Omega_max": 9e5, "alpha_dot_max": 5.0, "g": 9.8},
+    "gains": {"k_p": 500.0, "k_v": 45.0, "k_R": 1000.0, "k_omega": 60.0},
+    "singularity": {"phi_0_deg": 4.0, "phi_d_deg": 20.0, "phi_t_deg": 12.0, "c_t_deg": 8.0,
+                    "omega_u": 6.0},
+    "sim": {"dt_physics": 0.002, "dt_control": 0.004},
+    "n_dirs": 64,
+}
+
+
+def test_every_key_reaches_its_field_and_its_echo(tmp_path):
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps(ALL_KEYS))
+    cfg = load_run_config(path)
+    v, g, s = cfg.vehicle, cfg.gains, cfg.singularity
+    assert (v.m, v.l_x, v.c_f, v.c_d, v.Omega_max, v.alpha_dot_max, v.g_mag) == (
+        3.5, 0.25, 1.2e-5, 0.02, 9e5, 5.0, 9.8)
+    assert np.array_equal(v.J_b, np.diag([0.07, 0.09, 0.15]))
+    assert np.array_equal(v.x_com, [0.004, -0.002, 0.001])
+    assert (g.k_p, g.k_v, g.k_R, g.k_omega) == (500.0, 45.0, 1000.0, 60.0)
+    assert (s.phi_0, s.phi_d, s.phi_t, s.c_t) == tuple(np.deg2rad([4.0, 20.0, 12.0, 8.0]).tolist())
+    assert s.omega_u == 6.0
+    assert (cfg.sim.dt_physics, cfg.sim.dt_control) == (0.002, 0.004)
+    assert cfg.n_dirs == 64
+
+    echo = cfg.effective_dict()
+    assert echo["n_dirs"] == 64
+    for block in ("vehicle", "gains", "singularity", "sim"):
+        assert set(echo[block]) == set(ALL_KEYS[block])
+        for key, value in ALL_KEYS[block].items():
+            # Degrees go through radians and back: equal to rounding.
+            assert_allclose(echo[block][key], value, rtol=1e-15, atol=0, err_msg=f"{block}.{key}")
+    path.write_text(json.dumps(echo))
+    assert load_run_config(path).effective_dict() == echo
+
+
+@pytest.mark.parametrize("content", [b'{"n_dirs": 1' + b"0" * 5000 + b"}", b'{"vehicle": {"m": 4.0}}\xff'])
+def test_undecodable_file_is_config_error(tmp_path, content):
+    """An integer of more than 4300 digits and bytes that are not UTF-8 raised
+    ValueError past the JSON error handling."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_run_config(path)

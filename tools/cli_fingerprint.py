@@ -6,6 +6,9 @@ and `simulate` for each of the six experiments. Then, with a non-default
 vehicle written to OUT_DIR/vehicle.json, runs the same four sweeps and
 `simulate --experiment singular-translation`, so that the path from a
 config file to the vehicle's derived allocation geometry is checked too.
+Last, with a config that sets every key of every block written to
+OUT_DIR/all_keys.json, runs `envelope --n-dirs 8`, so that the echo of
+each key in effective_config.json is checked.
 Each run writes into its own subdirectory of OUT_DIR. Then prints one
 sorted `sha256  path` line per file, with paths relative to OUT_DIR.
 
@@ -44,6 +47,17 @@ VEHICLE_RUNS = (
     ("vehicle-simulate-singular-translation", ["simulate", "--experiment", "singular-translation"]),
 )
 
+# Every key of every block away from its default. phi_t_deg of 12 echoes as
+# 12.000000000000002 after its round trip through radians.
+ALL_KEYS = {
+    "vehicle": {"m": 3.5, "J_diag": [0.07, 0.09, 0.15], "x_com": [0.004, -0.002, 0.001], "l_x": 0.25,
+                "c_f": 1.2e-5, "c_d": 0.02, "Omega_max": 9e5, "alpha_dot_max": 5.0, "g": 9.8},
+    "gains": {"k_p": 500.0, "k_v": 45.0, "k_R": 1000.0, "k_omega": 60.0},
+    "singularity": {"phi_0_deg": 4.1, "phi_d_deg": 17.3, "phi_t_deg": 12.0, "c_t_deg": 8.9, "omega_u": 6.0},
+    "sim": {"dt_physics": 0.002, "dt_control": 0.004},
+    "n_dirs": 64,
+}
+
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
@@ -52,9 +66,11 @@ def main(argv=None) -> int:
         return 1
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
-    config = out / "vehicle.json"
+    config, all_keys = out / "vehicle.json", out / "all_keys.json"
     config.write_text(json.dumps(VEHICLE, sort_keys=True) + "\n")
-    runs = [*RUNS, *((name, [*args, "--config", str(config)]) for name, args in VEHICLE_RUNS)]
+    all_keys.write_text(json.dumps(ALL_KEYS, sort_keys=True) + "\n")
+    runs = [*RUNS, *((name, [*args, "--config", str(config)]) for name, args in VEHICLE_RUNS),
+            ("all-keys-envelope", ["envelope", "--n-dirs", "8", "--config", str(all_keys)])]
     for name, args in runs:
         status = cli.main([*args, "--out", str(out / name)])
         if status != 0:
