@@ -193,7 +193,7 @@ def power_efficiency(rotor_thrusts, params: VehicleParams):
     return total_power, min(1.0, hover_power(params) / total_power)
 
 
-def hover_sweep(params: VehicleParams, n_orientations):
+def hover_sweep(params: VehicleParams, n_dirs):
     """(dirs, eta_P, eta_f, total_power) of hovering with the weight along
     each body direction.
 
@@ -202,7 +202,7 @@ def hover_sweep(params: VehicleParams, n_orientations):
     computed from the resulting rotor thrusts.
     """
     allocator = Allocator(params)
-    dirs = efficiency_directions(n_orientations)
+    dirs = efficiency_directions(n_dirs)
 
     def indices(w):
         alpha, Omega, _ = static_allocation(w, allocator)

@@ -126,17 +126,15 @@ def _cmd_simulate(args, cfg, out_dir):
 
 
 def _cmd_envelope(args, cfg, out_dir):
-    n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
     for fname, sweep in (("force_envelope.csv", force_envelope),
                          ("torque_envelope.csv", torque_envelope)):
         _write_csv(os.path.join(out_dir, fname), ["dx", "dy", "dz", "radius"],
-                   np.column_stack(sweep(cfg.vehicle, n)))
+                   np.column_stack(sweep(cfg.vehicle, args.n_dirs)))
     return 0
 
 
 def _cmd_condmap(args, cfg, out_dir):
-    n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
-    columns = condition_map(cfg.vehicle, n, cfg.singularity if args.biased else None)
+    columns = condition_map(cfg.vehicle, args.n_dirs, cfg.singularity if args.biased else None)
     fname = "condmap_biased.csv" if args.biased else "condmap_unbiased.csv"
     _write_csv(os.path.join(out_dir, fname), ["dx", "dy", "dz", "log10_cond"],
                np.column_stack(columns))
@@ -144,10 +142,9 @@ def _cmd_condmap(args, cfg, out_dir):
 
 
 def _cmd_efficiency(args, cfg, out_dir):
-    n = cfg.n_dirs if args.n_dirs is None else args.n_dirs
     _write_csv(os.path.join(out_dir, "efficiency.csv"),
                ["dx", "dy", "dz", "eta_P", "eta_f", "total_power"],
-               np.column_stack(hover_sweep(cfg.vehicle, n)))
+               np.column_stack(hover_sweep(cfg.vehicle, args.n_dirs)))
     return 0
 
 
@@ -163,6 +160,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"omnidyn: config error: {exc}", file=sys.stderr)
         return 2
+
+    # The sweeps' direction count: --n-dirs, else the config's. cfg.n_dirs
+    # keeps the config's value for the effective-config echo.
+    if getattr(args, "n_dirs", None) is None:
+        args.n_dirs = cfg.n_dirs
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)

@@ -20,7 +20,7 @@ from .controller import Gains
 # ConfigError is defined next to SimConfig, so that simulate can raise it too.
 from .simulation import ConfigError, SimConfig
 from .singularity import SingularityParams
-from .vehicle import VehicleParams
+from .vehicle import VehicleParams, as_float
 
 # Larger sweeps are refused before any direction array is built.
 MAX_DIRECTIONS = 1_000_000
@@ -39,10 +39,11 @@ ASSUMED_SOURCES = {
 }
 
 # (load, echo) conversions between a JSON value and a dataclass field.
-SCALAR = (float, float)
+# A scalar is a JSON number: as_float refuses strings and booleans.
+SCALAR = (as_float, float)
 VECTOR = (lambda x: np.asarray(x, dtype=float), list)
 DIAGONAL = (lambda d: np.diag(np.asarray(d, dtype=float)), lambda J: list(np.diag(J)))
-DEGREES = (lambda deg: float(np.deg2rad(deg)), lambda rad: float(np.rad2deg(rad)))
+DEGREES = (lambda deg: np.deg2rad(as_float(deg)), lambda rad: float(np.rad2deg(rad)))
 
 BLOCKS = {
     "vehicle": (VehicleParams, (

@@ -10,6 +10,7 @@ that is not finite is caught by the allocation's finiteness rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 # compute_errors takes the entries of vee on floats; vee stays bound here
 # because perfbench/tracer.py looks it up in this module.
 from .mathcore import vee  # noqa: F401
-from .vehicle import RigidBodyState, VehicleParams, Wrench
+from .vehicle import RigidBodyState, VehicleParams, Wrench, as_float
 
 
 @dataclass
@@ -29,6 +30,7 @@ class Gains:
     conditioning, which shows up as a steady offset inversely proportional
     to ``k_p``; the defaults keep that offset, and the transients of the
     aggressive attitude maneuvers, inside millimetre / sub-degree territory.
+    The gains are stored as Python floats (see vehicle.as_float).
     """
 
     k_p: float = 640.0
@@ -37,7 +39,10 @@ class Gains:
     k_omega: float = 69.3
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.k_p, self.k_v, self.k_R, self.k_omega])):
+        scalars = ("k_p", "k_v", "k_R", "k_omega")
+        for name in scalars:
+            setattr(self, name, as_float(getattr(self, name), name))
+        if not all(math.isfinite(getattr(self, name)) for name in scalars):
             raise ValueError("gains must be finite")
         if min(self.k_p, self.k_v, self.k_R, self.k_omega) <= 0.0:
             raise ValueError("all gains must be positive")

@@ -18,7 +18,7 @@ from .controller import Gains, compute_errors, control_wrench
 from .mathcore import rotation_to_quat, wrap_angle
 from .singularity import SingularityParams
 from .trajectories import Trajectory
-from .vehicle import RigidBodyState, VehicleParams, Wrench, integrate_step
+from .vehicle import RigidBodyState, VehicleParams, Wrench, as_float, integrate_step
 
 
 # Smallest accepted time step, s. Far below any control or physics rate;
@@ -45,7 +45,8 @@ class SimConfig:
     """Loop rates and optional overrides for a simulation run.
 
     Both time steps must be at least MIN_TIME_STEP, and dt_control an
-    integer multiple of dt_physics.
+    integer multiple of dt_physics. The time steps and a given duration are
+    stored as Python floats (see vehicle.as_float).
     """
 
     dt_physics: float = 0.001
@@ -54,10 +55,14 @@ class SimConfig:
     initial_state: RigidBodyState | None = None
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.dt_physics, self.dt_control])):
+        self.dt_physics = as_float(self.dt_physics, "dt_physics")
+        self.dt_control = as_float(self.dt_control, "dt_control")
+        if not (math.isfinite(self.dt_physics) and math.isfinite(self.dt_control)):
             raise ValueError("time steps must be finite")
-        if self.duration is not None and not (np.isfinite(self.duration) and self.duration >= 0.0):
-            raise ValueError("duration must be finite and nonnegative")
+        if self.duration is not None:
+            self.duration = as_float(self.duration, "duration")
+            if not (math.isfinite(self.duration) and self.duration >= 0.0):
+                raise ValueError("duration must be finite and nonnegative")
         if self.dt_physics < MIN_TIME_STEP or self.dt_control < MIN_TIME_STEP:
             raise ValueError(f"time steps must be at least {MIN_TIME_STEP} s")
         ratio = self.dt_control / self.dt_physics

@@ -21,12 +21,13 @@ passed its finiteness rule (omnidyn.allocation), and run on Python floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mathcore import angle_between, row_angles
-from .vehicle import ARM, Z_AXIS, VehicleParams, build_A_alpha
+from .vehicle import ARM, Z_AXIS, VehicleParams, as_float, build_A_alpha
 
 
 @dataclass
@@ -39,6 +40,8 @@ class SingularityParams:
     c_t: full-bias tilt offset magnitude, rad
     omega_u: unwinding rate for frozen arms, rad/s
     b: per-arm bias directions, alternating +/-1
+
+    The scalar fields are stored as Python floats (see vehicle.as_float).
     """
 
     phi_0: float = np.deg2rad(5.0)
@@ -50,7 +53,10 @@ class SingularityParams:
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
-        if not np.all(np.isfinite([self.phi_0, self.phi_d, self.phi_t, self.c_t, self.omega_u])):
+        scalars = ("phi_0", "phi_d", "phi_t", "c_t", "omega_u")
+        for name in scalars:
+            setattr(self, name, as_float(getattr(self, name), name))
+        if not all(math.isfinite(getattr(self, name)) for name in scalars):
             raise ValueError("singularity parameters must be finite")
         if not (0.0 < self.phi_0 < self.phi_d):
             raise ValueError("need 0 < phi_0 < phi_d")

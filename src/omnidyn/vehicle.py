@@ -38,6 +38,22 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 ALLOCATION_HEADROOM = 1e3
 
 
+def as_float(value, name="value"):
+    """value as a Python float: an int, a float, or a numpy integer or float
+    scalar (0-d arrays included).
+
+    Booleans, strings, None and arrays with ndim > 0 raise TypeError. The
+    parameter blocks store their scalars through this, because a numpy
+    scalar that reaches the float tick turns its arithmetic into numpy-scalar
+    arithmetic; both give the same bits for + - * /, sqrt, sin, cos and ** 2.0.
+    """
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Physical parameters of the vehicle.
@@ -53,6 +69,8 @@ class VehicleParams:
     Omega_max: maximum squared rotor speed, (rad/s)^2
     alpha_dot_max: maximum tilt rate, rad/s
     g_mag: gravitational acceleration, m/s^2
+
+    The scalar fields are stored as Python floats (see as_float).
     """
 
     m: float = 4.0
@@ -82,8 +100,11 @@ class VehicleParams:
         # Frozen: fields are set here once, so the derived ones never go stale.
         for name in ("J_b", "x_com", "gamma", "s"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        scalars = [self.m, self.l_x, self.c_f, self.c_d, self.Omega_max, self.alpha_dot_max, self.g_mag]
-        if not all(np.all(np.isfinite(a)) for a in (scalars, self.J_b, self.x_com, self.gamma)):
+        scalars = ("m", "l_x", "c_f", "c_d", "Omega_max", "alpha_dot_max", "g_mag")
+        for name in scalars:
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
+        if not (all(math.isfinite(getattr(self, name)) for name in scalars)
+                and all(np.isfinite(a).all() for a in (self.J_b, self.x_com, self.gamma))):
             raise ValueError("vehicle parameters must be finite")
         if self.x_com.shape != (3,):
             raise ValueError("x_com must have 3 entries")

@@ -108,6 +108,38 @@ def test_non_finite_or_misshaped_config_is_config_error(tmp_path, capsys, text):
     assert not (out / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize("block", [
+    {"vehicle": {"m": "4.5", "l_x": True}, "gains": {"k_p": " 600 "}},
+    {"vehicle": {"m": "4.5"}},
+    {"vehicle": {"l_x": True}},
+    {"gains": {"k_p": " 600 "}},
+    {"singularity": {"phi_0_deg": False}},
+    {"sim": {"dt_physics": None}},
+    {"vehicle": {"g": [9.81]}},
+])
+def test_strings_booleans_and_non_numbers_are_config_errors(tmp_path, capsys, block):
+    """A scalar key takes a JSON number: "4.5", true and " 600 " were once
+    read as 4.5, 1.0 and 600.0."""
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(block))
+    out = tmp_path / "out"
+    assert cli.main(["envelope", "--config", str(cfg), "--out", str(out), "--n-dirs", "4"]) == 2
+    assert "must be a real number" in capsys.readouterr().err
+    assert not (out / "effective_config.json").exists()
+
+
+def test_n_dirs_flag_overrides_the_config_and_the_echo_keeps_the_config(tmp_path):
+    cfg = tmp_path / "dirs.json"
+    cfg.write_text(json.dumps({"n_dirs": 6}))
+    for command in (["envelope"], ["condmap"], ["condmap", "--biased"], ["efficiency"]):
+        for flag, rows in (([], 6), (["--n-dirs", "4"], 4)):
+            out = tmp_path / "-".join(command + flag)
+            assert cli.main([*command, "--config", str(cfg), "--out", str(out), *flag]) == 0
+            for path in out.glob("*.csv"):
+                assert read_csv(path)[1].shape[0] == rows
+            assert json.loads((out / "effective_config.json").read_text())["n_dirs"] == 6
+
+
 @pytest.mark.parametrize("n_dirs", ["0", "-5"])
 def test_n_dirs_below_one_is_usage_error(tmp_path, capsys, n_dirs):
     assert cli.main(["envelope", "--n-dirs", n_dirs, "--out", str(tmp_path)]) == 1

@@ -51,6 +51,18 @@ def test_invalid_values_rejected(tmp_path):
         load_run_config(path)
 
 
+def test_scalar_keys_take_numbers_not_strings_or_booleans(tmp_path):
+    path = tmp_path / "cfg.json"
+    for block in ({"vehicle": {"m": "4.5"}}, {"vehicle": {"l_x": True}}, {"gains": {"k_p": " 600 "}},
+                  {"singularity": {"c_t_deg": True}}, {"sim": {"dt_control": "0.005"}}):
+        path.write_text(json.dumps(block))
+        with pytest.raises(ConfigError, match="must be a real number"):
+            load_run_config(path)
+    path.write_text(json.dumps({"vehicle": {"m": 5}, "singularity": {"phi_t_deg": 12}}))
+    cfg = load_run_config(path)
+    assert type(cfg.vehicle.m) is float and type(cfg.singularity.phi_t) is float
+
+
 def test_malformed_json_reports_location(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{\n  "vehicle": {\n}')

@@ -21,7 +21,7 @@ from omnidyn.simulation import (
     write_csv,
 )
 from omnidyn.singularity import SingularityParams
-from omnidyn.trajectories import make_hover, make_translation
+from omnidyn.trajectories import make_hover, make_singular_translation, make_translation
 from omnidyn.vehicle import RigidBodyState, VehicleParams
 
 
@@ -204,3 +204,30 @@ def test_simulate_refuses_a_log_over_the_row_cap_before_any_set_up(monkeypatch):
     with pytest.raises(AssertionError, match="set-up ran"):
         simulate(traj, VehicleParams(), Gains(), SingularityParams(),
                  SimConfig(duration=(MAX_LOG_ROWS - 1) * 0.005, dt_control=0.005))
+
+
+def test_numpy_scalar_parameters_give_the_bytes_of_python_floats():
+    """A vehicle drawn with numpy (m and c_f of type np.float64, as the
+    scatter benchmark draws them) runs on Python floats and logs the bytes of
+    the same values given as floats; and so does the tick when numpy scalars
+    are forced past the coercion, since + - * /, sqrt, sin, cos and ** 2.0
+    give the same bits on both."""
+    m, c_f = 4.0 * np.float64(1.03), 1.0e-5 * np.float64(0.97)
+    as_floats = VehicleParams(m=float(m), c_f=float(c_f))
+    as_numpy = VehicleParams(m=m, c_f=c_f)
+    assert type(as_numpy.m) is float and type(as_numpy.c_f) is float
+    forced = VehicleParams(m=float(m), c_f=float(c_f))
+    object.__setattr__(forced, "m", m)
+    object.__setattr__(forced, "c_f", c_f)
+    handlers = SingularityParams()
+    forced_handlers = SingularityParams()
+    for name in ("phi_0", "phi_d", "phi_t", "c_t", "omega_u"):
+        setattr(forced_handlers, name, np.float64(getattr(handlers, name)))
+
+    def run(params, singularity):
+        return simulate(make_singular_translation(params), params, Gains(), singularity,
+                        SimConfig(duration=0.2)).data.tobytes()
+
+    expected = run(as_floats, handlers)
+    assert run(as_numpy, handlers) == expected
+    assert run(forced, forced_handlers) == expected

@@ -77,6 +77,44 @@ def test_params_reject_a_thrust_coefficient_whose_allocation_overflows():
         assert np.all(np.isfinite(Allocator(p).allocate(w, np.zeros(6), 0.005).Omega_cmd))
 
 
+# Each parameter block, its scalar fields, and valid values of them as ints.
+SCALAR_BLOCKS = [
+    (VehicleParams, dict(m=4, l_x=1, c_f=1, c_d=1, Omega_max=1000, alpha_dot_max=6, g_mag=10)),
+    (SingularityParams, dict(phi_0=1, phi_d=2, phi_t=1, c_t=1, omega_u=8)),
+    (Gains, dict(k_p=640, k_v=50, k_R=1200, k_omega=69)),
+    (SimConfig, dict(dt_physics=1, dt_control=2, duration=3)),
+]
+BLOCK_IDS = [cls.__name__ for cls, _ in SCALAR_BLOCKS]
+
+
+@pytest.mark.parametrize("cls, ints", SCALAR_BLOCKS, ids=BLOCK_IDS)
+def test_parameter_blocks_store_python_floats(cls, ints):
+    """A numpy scalar field would turn the float tick into numpy-scalar
+    arithmetic, so every block stores Python floats, whatever it is given."""
+    default = cls(**({"duration": 2.5} if cls is SimConfig else {}))
+    as_numpy = {name: np.float64(getattr(default, name)) for name in ints}
+    as_arrays = {name: np.array(value) for name, value in as_numpy.items()}
+    as_numpy_ints = {name: np.int64(value) for name, value in ints.items()}
+    for kwargs in ({}, ints, as_numpy, as_arrays, as_numpy_ints):
+        block = cls(**kwargs)
+        for name in ints:
+            value = getattr(block, name)
+            # SimConfig's default duration is None: the trajectory's own.
+            assert type(value) is float or (not kwargs and name == "duration" and value is None)
+        for name, value in kwargs.items():
+            assert getattr(block, name) == value
+
+
+@pytest.mark.parametrize("cls, ints", SCALAR_BLOCKS, ids=BLOCK_IDS)
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "4.5", None, np.array([1.0]), 1 + 0j])
+def test_parameter_blocks_reject_values_that_are_not_real_numbers(cls, ints, bad):
+    for name in ints:
+        if name == "duration" and bad is None:
+            continue  # None is SimConfig's default duration
+        with pytest.raises(TypeError, match=name):
+            cls(**{name: bad})
+
+
 def test_params_are_frozen_and_replace_rederives():
     p = VehicleParams()
     with pytest.raises(dataclasses.FrozenInstanceError):
