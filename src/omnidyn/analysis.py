@@ -5,20 +5,24 @@ allocation matrix (with and without tilt bias), and hover efficiency
 metrics, all evaluated over deterministic direction sets: a fixed list
 of canonical directions first, then Fibonacci-sphere samples.
 
-Each sweep calls static_allocation once per direction, and the work of a
-direction runs on Python floats wherever that keeps the bits of the numpy
-formulas. numpy stays where its kernel sets the bits and Python's does not
-match:
-- the matrix-vector products A^+ w and A_alpha Omega (BLAS gemv), called
-  through ndarray.dot, which hands BLAS the product @ hands it without the
-  dispatch of the matmul ufunc;
-- np.hypot and np.arctan2 of the tilt extraction, and np.arccos in the
-  z angle of the biased map;
-- the singular values and np.log10 of the condition map (math.log10
-  rounds differently);
-- f**1.5 and the sums of the rotor thrusts (numpy's sum adds pairwise).
-The pair sums, holds, bias, rotor projection and clamp, the envelope peak,
-the rank tolerance and the efficiency indices are floats.
+Each sweep calls static_allocation once per direction, looked up as this
+module's global: the benchmark stamps each call as one step of a sweep.
+static_allocation runs on Python floats, with numpy where its kernel sets
+the bits (A^+ w through ndarray.dot, np.hypot and np.arctan2 of the tilt
+extraction, np.arccos in the z angle of the biased map). Its tilt angles
+and rotor speeds fill one row per direction of preallocated arrays, and
+the work after it runs stacked, once per block of BLOCK_DIRS directions:
+- the envelope peak is the max of each row of the speeds;
+- the condition map builds the block's A_alpha in one build_A_alpha call
+  and takes one np.linalg.svd and one np.log10 of the stack (log10_cond);
+- the efficiency sweep builds A_alpha the same way, forms each direction's
+  F_b = A_alpha Omega through ndarray.dot (BLAS gemv; np.einsum
+  and np.vecdot differ from it in the last bits, and the stacked matmul
+  picks its own kernel), and computes both indices of the block in one
+  call each (f**1.5 and the thrust sums reduce each row as numpy reduces
+  one direction's array).
+Each stacked form gives the bytes of its per-direction call. The blocks
+bound the memory of the stacked temporaries.
 
 static_allocation follows the allocation's finiteness rule: a wrench whose
 A^+ w is not finite raises FloatingPointError, so the sweeps only ever see
@@ -26,8 +30,6 @@ finite speeds.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -43,6 +45,13 @@ from .allocation import extract_rotor_speeds, extract_tilt_angles  # noqa: F401
 # value is at most 12 EPS times the largest.
 EPS = float(np.finfo(float).eps)
 ZERO_TILT = (0.0,) * 6
+# Directions per block of the stacked work that follows static_allocation.
+BLOCK_DIRS = 128
+
+
+def _blocks(n):
+    """Slices of n directions in consecutive blocks of at most BLOCK_DIRS."""
+    return [slice(start, min(start + BLOCK_DIRS, n)) for start in range(0, n, BLOCK_DIRS)]
 
 
 def fibonacci_sphere(n):
@@ -118,7 +127,10 @@ def _envelope(params, n_dirs, torque):
     dirs = envelope_directions(n_dirs)
     zero = np.zeros_like(dirs)
     wrenches = np.hstack([zero, dirs] if torque else [dirs, zero])
-    peak = np.array([max(static_allocation(w, allocator)[1].tolist()) for w in wrenches])
+    speeds = np.empty((len(dirs), 12))
+    for i, w in enumerate(wrenches):
+        speeds[i] = static_allocation(w, allocator)[1]
+    peak = speeds.max(axis=-1)
     # Extraction is homogeneous in the wrench magnitude at fixed direction,
     # so the largest feasible scale hits Omega_max exactly.
     radius = np.divide(params.Omega_max, peak, out=np.zeros(len(dirs)), where=peak > 0.0)
@@ -136,13 +148,19 @@ def torque_envelope(params: VehicleParams, n_dirs):
 
 
 def log10_cond(A):
-    """log10 of the 2-norm condition number of A, or +inf when A is rank
-    deficient. The tolerance keeps the order of s_max * 12 * eps."""
-    svals = np.linalg.svd(A, compute_uv=False).tolist()
-    s_max, s_min = svals[0], svals[-1]
-    if s_min <= s_max * 12 * EPS:
-        return math.inf
-    return float(np.log10(s_max / s_min))
+    """log10 of the 2-norm condition number of each matrix of A, shape
+    (..., 6, 12), as an ndarray of shape A.shape[:-2] (0-d for one matrix).
+
+    +inf where a matrix is rank deficient: its smallest singular value is
+    at most s_max * 12 * EPS, in that order. One np.linalg.svd call takes
+    the whole stack, and each value has the bytes of its own matrix's call.
+    """
+    svals = np.linalg.svd(A, compute_uv=False)
+    s_max, s_min = svals[..., 0], svals[..., -1]
+    # The rank-deficient rows divide by zero or overflow; np.where drops them.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.log10(s_max / s_min)
+    return np.where(s_min <= s_max * 12 * EPS, np.inf, value)
 
 
 def condition_map(params: VehicleParams, n_dirs, sing_params: SingularityParams | None = None):
@@ -155,21 +173,33 @@ def condition_map(params: VehicleParams, n_dirs, sing_params: SingularityParams 
     allocator = Allocator(params, sing_params)
     dirs = condmap_directions(n_dirs)
     wrenches = np.hstack([dirs, np.zeros_like(dirs)])
-    return dirs, np.array([log10_cond(build_A_alpha(params, static_allocation(w, allocator)[0]))
-                           for w in wrenches])
+    alpha, values = np.empty((len(dirs), 6)), np.empty(len(dirs))
+    for block in _blocks(len(dirs)):
+        for i in range(block.start, block.stop):
+            alpha[i] = static_allocation(wrenches[i], allocator)[0]
+        values[block] = log10_cond(build_A_alpha(params, alpha[block]))
+    return dirs, values
 
 
 def wasted_force_index(rotor_thrusts, F_b):
-    """Ratio of delivered force magnitude to total thrust, in [0, 1]."""
+    """Ratio of delivered force magnitude to total thrust, in [0, 1].
+
+    rotor_thrusts has shape (..., 12) and F_b shape (..., 3); the result
+    is an ndarray of their leading shape (0-d for one direction). Raises
+    ValueError when any thrust is negative or any row's total thrust is 0.
+    """
     f = np.asarray(rotor_thrusts, dtype=float)
-    if any(x < 0.0 for x in f.tolist()):
+    if (f < 0.0).any():
         raise ValueError("rotor thrusts must be nonnegative")
-    total = float(f.sum())
-    if total <= 0.0:
+    total = f.sum(axis=-1)
+    if (total <= 0.0).any():
         raise ValueError("wasted_force_index undefined for zero total thrust")
     F_b = np.asarray(F_b, dtype=float)
-    # np.linalg.norm(F_b) is this square root of F_b.dot(F_b).
-    return min(1.0, math.sqrt(F_b.dot(F_b)) / total)
+    # np.linalg.norm of a row is the square root of its dot product, the
+    # BLAS dot that np.vecdot calls per row.
+    ratio = np.sqrt(np.vecdot(F_b, F_b)) / total
+    # min(1.0, ratio) per row; a NaN ratio gives 1.0, as min does.
+    return np.where(ratio < 1.0, ratio, 1.0)
 
 
 def hover_power(params: VehicleParams):
@@ -182,15 +212,19 @@ def power_efficiency(rotor_thrusts, params: VehicleParams):
     """(total_power, eta_P) under the P proportional to f^(3/2) rotor model.
 
     eta_P normalizes against level hover of the same vehicle weight, so
-    level hover itself scores exactly 1.
+    level hover itself scores exactly 1. rotor_thrusts has shape (..., 12);
+    both results are ndarrays of its leading shape (0-d for one direction).
+    Any negative thrust raises ValueError; a row whose total power is 0
+    gives (0, 0).
     """
     f = np.asarray(rotor_thrusts, dtype=float)
-    if any(x < 0.0 for x in f.tolist()):
+    if (f < 0.0).any():
         raise ValueError("rotor thrusts must be nonnegative")
-    total_power = float((f**1.5).sum())
-    if total_power == 0.0:
-        return 0.0, 0.0
-    return total_power, min(1.0, hover_power(params) / total_power)
+    total_power = (f**1.5).sum(axis=-1)
+    ratio = np.divide(hover_power(params), total_power, out=np.zeros_like(total_power),
+                      where=total_power != 0.0)
+    # min(1.0, ratio) per row; a NaN total gives 1.0, as min does.
+    return total_power, np.where(ratio < 1.0, ratio, 1.0)
 
 
 def hover_sweep(params: VehicleParams, n_dirs):
@@ -203,15 +237,18 @@ def hover_sweep(params: VehicleParams, n_dirs):
     """
     allocator = Allocator(params)
     dirs = efficiency_directions(n_dirs)
-
-    def indices(w):
-        alpha, Omega, _ = static_allocation(w, allocator)
-        thrusts = params.c_f * Omega
-        # build_A_alpha(params, alpha) @ Omega, through ndarray.dot.
-        F_b = build_A_alpha(params, alpha).dot(Omega)
-        total_power, eta_P = power_efficiency(thrusts, params)
-        return eta_P, wasted_force_index(thrusts, F_b[:3]), total_power
-
+    n = len(dirs)
     wrenches = np.hstack([params.m * params.g_mag * dirs, np.zeros_like(dirs)])
-    eta_P, eta_f, total_power = np.array([indices(w) for w in wrenches]).T
+    alpha, Omega, F_b = np.empty((n, 6)), np.empty((n, 12)), np.empty((n, 6))
+    eta_P, eta_f, total_power = np.empty(n), np.empty(n), np.empty(n)
+    for block in _blocks(n):
+        rows = range(block.start, block.stop)
+        for i in rows:
+            alpha[i], Omega[i], _ = static_allocation(wrenches[i], allocator)
+        # A_alpha @ Omega per direction, through ndarray.dot (BLAS gemv).
+        for i, A_alpha in zip(rows, build_A_alpha(params, alpha[block])):
+            F_b[i] = A_alpha.dot(Omega[i])
+        thrusts = params.c_f * Omega[block]
+        total_power[block], eta_P[block] = power_efficiency(thrusts, params)
+        eta_f[block] = wasted_force_index(thrusts, F_b[block, :3])
     return dirs, eta_P, eta_f, total_power

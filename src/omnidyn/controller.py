@@ -21,7 +21,7 @@ from .mathcore import vee  # noqa: F401
 from .vehicle import RigidBodyState, VehicleParams, Wrench, as_float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gains:
     """Isotropic feedback gains (position, velocity, rotation, angular rate).
 
@@ -30,7 +30,8 @@ class Gains:
     conditioning, which shows up as a steady offset inversely proportional
     to ``k_p``; the defaults keep that offset, and the transients of the
     aggressive attitude maneuvers, inside millimetre / sub-degree territory.
-    The gains are stored as Python floats (see vehicle.as_float).
+    The gains are stored as Python floats (see vehicle.as_float); the block
+    is frozen, so no assignment after construction can skip that or the checks.
     """
 
     k_p: float = 640.0
@@ -41,7 +42,7 @@ class Gains:
     def __post_init__(self):
         scalars = ("k_p", "k_v", "k_R", "k_omega")
         for name in scalars:
-            setattr(self, name, as_float(getattr(self, name), name))
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if not all(math.isfinite(getattr(self, name)) for name in scalars):
             raise ValueError("gains must be finite")
         if min(self.k_p, self.k_v, self.k_R, self.k_omega) <= 0.0:

@@ -40,13 +40,14 @@ class ConfigError(Exception):
     """
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Loop rates and optional overrides for a simulation run.
 
     Both time steps must be at least MIN_TIME_STEP, and dt_control an
     integer multiple of dt_physics. The time steps and a given duration are
-    stored as Python floats (see vehicle.as_float).
+    stored as Python floats (see vehicle.as_float); the block is frozen, so
+    no assignment after construction can skip that or the checks.
     """
 
     dt_physics: float = 0.001
@@ -55,12 +56,12 @@ class SimConfig:
     initial_state: RigidBodyState | None = None
 
     def __post_init__(self):
-        self.dt_physics = as_float(self.dt_physics, "dt_physics")
-        self.dt_control = as_float(self.dt_control, "dt_control")
+        object.__setattr__(self, "dt_physics", as_float(self.dt_physics, "dt_physics"))
+        object.__setattr__(self, "dt_control", as_float(self.dt_control, "dt_control"))
         if not (math.isfinite(self.dt_physics) and math.isfinite(self.dt_control)):
             raise ValueError("time steps must be finite")
         if self.duration is not None:
-            self.duration = as_float(self.duration, "duration")
+            object.__setattr__(self, "duration", as_float(self.duration, "duration"))
             if not (math.isfinite(self.duration) and self.duration >= 0.0):
                 raise ValueError("duration must be finite and nonnegative")
         if self.dt_physics < MIN_TIME_STEP or self.dt_control < MIN_TIME_STEP:

@@ -30,7 +30,7 @@ from .mathcore import angle_between, row_angles
 from .vehicle import ARM, Z_AXIS, VehicleParams, as_float, build_A_alpha
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingularityParams:
     """Thresholds and rates for the singularity handlers.
 
@@ -41,7 +41,9 @@ class SingularityParams:
     omega_u: unwinding rate for frozen arms, rad/s
     b: per-arm bias directions, alternating +/-1
 
-    The scalar fields are stored as Python floats (see vehicle.as_float).
+    The scalar fields are stored as Python floats (see vehicle.as_float); the
+    block is frozen, so no assignment after construction can skip that or the
+    checks.
     """
 
     phi_0: float = np.deg2rad(5.0)
@@ -52,10 +54,10 @@ class SingularityParams:
     b: np.ndarray = field(default_factory=lambda: np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]))
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         scalars = ("phi_0", "phi_d", "phi_t", "c_t", "omega_u")
         for name in scalars:
-            setattr(self, name, as_float(getattr(self, name), name))
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if not all(math.isfinite(getattr(self, name)) for name in scalars):
             raise ValueError("singularity parameters must be finite")
         if not (0.0 < self.phi_0 < self.phi_d):

@@ -233,8 +233,15 @@ def rotor_columns(params: VehicleParams):
 
 
 def build_A_alpha(params: VehicleParams, alpha):
-    """Instantaneous 6x12 allocation matrix at tilt angles alpha."""
-    alpha = np.asarray(alpha, dtype=float)[ARM]
+    """Instantaneous allocation matrix at tilt angles alpha.
+
+    alpha of shape (6,) gives the 6x12 matrix; a stack of shape (..., 6)
+    gives (..., 6, 12), each matrix with the bytes of its own 1-D call (the
+    products are elementwise). The 1-D call keeps the plain fancy index,
+    which is faster than take on one row.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    alpha = alpha[ARM] if alpha.ndim == 1 else alpha.take(ARM, -1)[..., None, :]
     return params.sin_cols * np.sin(alpha) + params.cos_cols * np.cos(alpha)
 
 

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from omnidyn import analysis
 from omnidyn.allocation import Allocator
 from omnidyn.analysis import (
+    BLOCK_DIRS,
     condition_map,
     condmap_directions,
     efficiency_directions,
@@ -25,7 +26,7 @@ from omnidyn.analysis import (
 )
 from omnidyn.mathcore import rotation_from_axis_angle
 from omnidyn.singularity import SingularityParams
-from omnidyn.vehicle import VehicleParams
+from omnidyn.vehicle import VehicleParams, build_A_alpha
 
 
 def test_fibonacci_sphere_units_and_determinism():
@@ -308,30 +309,80 @@ def test_envelope_peak_is_the_np_max_of_finite_speeds(monkeypatch):
     assert np.array_equal(radius[:2], np.zeros(2))
 
 
+# One direction, a whole block, a block and one more, and a partial last block.
+SWEEP_SIZES = (1, BLOCK_DIRS, BLOCK_DIRS + 1, 300)
+
+
 def test_condition_maps_match_the_array_formula_bit_for_bit(off_nominal_vehicle):
-    """log10_cond and condition_map give the bytes of the array formula,
-    the +inf rank-deficient rows included, biased and unbiased."""
-    for p in (VehicleParams(), off_nominal_vehicle):
-        for sp in (None, SingularityParams()):
-            dirs, got = condition_map(p, 300, sp)
-            want = [array_formulas.log10_cond(array_formulas.build_A_alpha(
-                p, array_formulas.static_allocation(p, sp, np.concatenate([d, np.zeros(3)]))[0])) for d in dirs]
-            assert same_bits(got, want)
-            assert sp is not None or np.count_nonzero(np.isinf(got)) >= 14
+    """condition_map gives the bytes of the array formula of each direction,
+    the +inf rank-deficient rows included, biased and unbiased, whether the
+    directions fill one block, more, or less."""
+    for n in SWEEP_SIZES:
+        for p in (VehicleParams(), off_nominal_vehicle):
+            for sp in (None, SingularityParams()):
+                dirs, got = condition_map(p, n, sp)
+                want = [array_formulas.log10_cond(array_formulas.build_A_alpha(
+                    p, array_formulas.static_allocation(p, sp, np.concatenate([d, np.zeros(3)]))[0]))
+                    for d in dirs]
+                assert same_bits(got, want)
+                # The unbiased map is rank deficient at both poles and the 12 in-plane azimuths.
+                assert sp is not None or np.count_nonzero(np.isinf(got)) >= min(n, 14)
+
+
+def test_stacked_log10_cond_gives_the_bytes_of_each_matrix():
+    """One log10_cond call on a stack gives, per matrix, the bytes of the
+    array formula and of its own call, the +inf rows included (the condition
+    map's rank-deficient tilts, zero, rank one and scaled to the float
+    limits); one matrix gives a 0-d ndarray."""
     rng = np.random.default_rng(16)
-    A = VehicleParams().sin_cols + VehicleParams().cos_cols
+    p = VehicleParams()
+    A = p.sin_cols + p.cos_cols
     rank_one = np.outer(rng.normal(size=6), rng.normal(size=12))
-    for M in (A, 1e-300 * A, 1e300 * A, 5e-324 * A, np.zeros((6, 12)), rank_one, rng.normal(size=(6, 12))):
-        assert same_bits(log10_cond(M), array_formulas.log10_cond(M))
+    poles = [static_allocation(np.array([0.0, 0.0, z, 0.0, 0.0, 0.0]), Allocator(p))[0] for z in (1.0, -1.0)]
+    tilts = np.vstack([poles, np.zeros((1, 6)), rng.uniform(-np.pi, np.pi, (40, 6))])
+    matrices = np.concatenate([
+        np.stack([A, 1e-300 * A, 1e300 * A, 5e-324 * A, np.zeros((6, 12)), rank_one, rng.normal(size=(6, 12))]),
+        build_A_alpha(p, tilts)])
+    got = log10_cond(matrices)
+    assert got.shape == (len(matrices),)
+    assert np.count_nonzero(np.isinf(got)) >= 6
+    for value, M in zip(got, matrices):
+        single = log10_cond(M)
+        assert isinstance(single, np.ndarray) and single.shape == ()
+        assert same_bits(value, single) and same_bits(single, array_formulas.log10_cond(M))
+    assert same_bits(log10_cond(matrices.reshape(2, -1, 6, 12)), got.reshape(2, -1))
 
 
 def test_hover_sweep_matches_the_array_formulas_bit_for_bit(off_nominal_vehicle):
-    for p in (VehicleParams(), off_nominal_vehicle):
-        dirs, *got = hover_sweep(p, 300)
-        want = np.array([array_formulas.hover_indices(p, np.concatenate([p.m * p.g_mag * d, np.zeros(3)]))
-                         for d in dirs]).T
-        for a, b in zip(got, want):
-            assert same_bits(a, b)
+    for n in SWEEP_SIZES:
+        for p in (VehicleParams(), off_nominal_vehicle):
+            dirs, *got = hover_sweep(p, n)
+            want = np.array([array_formulas.hover_indices(p, np.concatenate([p.m * p.g_mag * d, np.zeros(3)]))
+                             for d in dirs]).T
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+
+
+def test_each_sweep_calls_static_allocation_once_per_direction(monkeypatch):
+    """The benchmark stamps every sweep step at a call of the module global
+    analysis.static_allocation, so each sweep makes exactly one such call
+    per direction."""
+    calls = []
+    original = analysis.static_allocation
+
+    def counted(w, allocator):
+        calls.append(1)
+        return original(w, allocator)
+
+    monkeypatch.setattr(analysis, "static_allocation", counted)
+    p = VehicleParams()
+    sweeps = (lambda n: force_envelope(p, n), lambda n: torque_envelope(p, n), lambda n: condition_map(p, n),
+              lambda n: condition_map(p, n, SingularityParams()), lambda n: hover_sweep(p, n))
+    for sweep in sweeps:
+        for n in (1, BLOCK_DIRS + 1, 300):
+            calls.clear()
+            sweep(n)
+            assert len(calls) == n
 
 
 def test_efficiency_indices_match_the_array_formulas_bit_for_bit():
@@ -358,3 +409,36 @@ def test_efficiency_indices_match_the_array_formulas_bit_for_bit():
         for F in forces:
             got, want = outcome(wasted_force_index, f, F), outcome(array_formulas.wasted_force_index, f, F)
             assert got == want if isinstance(want, str) else same_bits(got, want)
+
+
+def test_stacked_efficiency_indices_keep_the_rules_on_every_row():
+    """power_efficiency and wasted_force_index on a stack give each row the
+    bytes of its own call: a zero-power row gives (0, 0), and one negative
+    thrust, or one row of zero total thrust, raises for the whole stack."""
+    p = VehicleParams()
+    rng = np.random.default_rng(18)
+    thrusts = np.vstack([rng.uniform(0.0, 10.0, (30, 12)), np.zeros((1, 12)), -np.zeros((1, 12)),
+                         np.full((1, 12), INF), np.full((1, 12), 5e-324), [[NAN] + [1.0] * 11]])
+    forces = np.vstack([rng.normal(size=(len(thrusts) - 1, 3)) * 20.0, [[-0.0, 0.0, -0.0]]])
+    forces[3] = NAN
+    with np.errstate(all="ignore"):
+        total, eta = power_efficiency(thrusts, p)
+        assert total.shape == eta.shape == (len(thrusts),)
+        for k, f in enumerate(thrusts):
+            assert same_bits((total[k], eta[k]), power_efficiency(f, p))
+            assert same_bits((total[k], eta[k]), array_formulas.power_efficiency(f, p))
+        assert same_bits((total[30:32], eta[30:32]), np.zeros((2, 2)))
+        assert same_bits(power_efficiency(thrusts.reshape(5, -1, 12), p), (total.reshape(5, -1), eta.reshape(5, -1)))
+        positive = np.r_[0:30, 32:len(thrusts)]
+        eta_f = wasted_force_index(thrusts[positive], forces[positive])
+        assert eta_f.shape == (len(positive),)
+        for value, f, F in zip(eta_f, thrusts[positive], forces[positive]):
+            assert same_bits(value, wasted_force_index(f, F))
+            assert same_bits(value, array_formulas.wasted_force_index(f, F))
+    negative = thrusts[:4].copy()
+    negative[2, 5] = -1e-300
+    for f, match in ((negative, "nonnegative"), (thrusts, "zero total thrust"), (-np.zeros((2, 12)), "zero total")):
+        with pytest.raises(ValueError, match=match):
+            wasted_force_index(f, np.ones((len(f), 3)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        power_efficiency(negative, p)

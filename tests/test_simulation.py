@@ -222,7 +222,7 @@ def test_numpy_scalar_parameters_give_the_bytes_of_python_floats():
     handlers = SingularityParams()
     forced_handlers = SingularityParams()
     for name in ("phi_0", "phi_d", "phi_t", "c_t", "omega_u"):
-        setattr(forced_handlers, name, np.float64(getattr(handlers, name)))
+        object.__setattr__(forced_handlers, name, np.float64(getattr(handlers, name)))
 
     def run(params, singularity):
         return simulate(make_singular_translation(params), params, Gains(), singularity,

@@ -115,6 +115,18 @@ def test_parameter_blocks_reject_values_that_are_not_real_numbers(cls, ints, bad
             cls(**{name: bad})
 
 
+@pytest.mark.parametrize("cls, ints", SCALAR_BLOCKS, ids=BLOCK_IDS)
+def test_parameter_blocks_are_frozen(cls, ints):
+    """Assigning a field after construction would skip as_float and the
+    checks (a numpy phi_0, or phi_0 above phi_d), so every block is frozen."""
+    block = cls()
+    for name in [*ints, *(["b"] if cls is SingularityParams else [])]:
+        before = getattr(block, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(block, name, np.float64(1.0))
+        assert getattr(block, name) is before
+
+
 def test_params_are_frozen_and_replace_rederives():
     p = VehicleParams()
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -192,6 +204,27 @@ def test_allocation_geometry_is_built_once(monkeypatch):
     shorter = dataclasses.replace(p, l_x=0.25)
     assert not np.array_equal(shorter.A, p.A)
     assert np.array_equal(shorter.A_pinv, VehicleParams(l_x=0.25).A_pinv)
+
+
+def test_stacked_build_A_alpha_gives_the_bytes_of_each_row(off_nominal_vehicle):
+    """alpha of shape (..., 6) gives (..., 6, 12), each matrix with the bytes
+    of its own 1-D call and of the array formula; a 1-D alpha, as the closed
+    loop passes it, still gives one 6x12 matrix."""
+    rng = np.random.default_rng(23)
+    alphas = rng.uniform(-np.pi, np.pi, (300, 6))
+    alphas[::7] = 0.0
+    alphas[1::7] = -0.0
+    alphas[2::7, :3] = np.pi / 2.0
+    for p in (VehicleParams(), off_nominal_vehicle):
+        stacked = build_A_alpha(p, alphas)
+        assert stacked.shape == (300, 6, 12)
+        for alpha, A in zip(alphas, stacked):
+            assert same_bits(A, build_A_alpha(p, alpha)) and same_bits(A, array_formulas.build_A_alpha(p, alpha))
+        assert same_bits(build_A_alpha(p, alphas.reshape(20, 15, 6)), stacked.reshape(20, 15, 6, 12))
+        assert build_A_alpha(p, alphas[:1]).shape == (1, 6, 12)
+        for alpha in (alphas[3], alphas[3].tolist()):
+            assert build_A_alpha(p, alpha).shape == (6, 12)
+            assert same_bits(build_A_alpha(p, alpha), stacked[3])
 
 
 def test_state_rejects_non_finite():

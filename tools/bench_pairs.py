@@ -10,6 +10,10 @@ first from one pair to the next, so that a drift of the host's speed falls
 on both sides alike. Each run is a fresh interpreter started from the
 checkout's root, so it imports that checkout's `src/`.
 
+After each pair it prints the ratio change / parent of every end-to-end
+metric the run reports (the metrics the benchmark gates), so that a swing
+of setup_s or peak_rss_mb shows while the pairs run.
+
 The output file gets, per pair, each side's end-to-end metrics and operation
 counts, the ratio change / parent of every metric, and whether the two
 runs printed the same output fingerprint; and per metric, each side's
@@ -108,9 +112,10 @@ def main(argv=None):
             "fingerprint_equal": runs["parent"][1] == runs["change"][1],
         }
         pairs.append(pair)
-        print(f"{args.workload} seed {seed} ({order[0]} first): step_us_p50 {parent['step_us_p50']:.1f} -> "
-              f"{change['step_us_p50']:.1f} us, fingerprints equal: {pair['fingerprint_equal']}, "
-              f"failed {parent['failed']} / {change['failed']}", flush=True)
+        ratios = ", ".join(f"{name} {ratio:.3f}" for name, ratio in pair["ratio"].items())
+        print(f"{args.workload} seed {seed} ({order[0]} first): change/parent {ratios}; "
+              f"fingerprints equal: {pair['fingerprint_equal']}, failed {parent['failed']} / {change['failed']}",
+              flush=True)
         # Written after every pair, so an interrupted series keeps its pairs.
         report.setdefault("pairs", {})[args.workload] = {
             "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
