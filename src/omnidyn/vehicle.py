@@ -237,11 +237,9 @@ def build_A_alpha(params: VehicleParams, alpha):
 
     alpha of shape (6,) gives the 6x12 matrix; a stack of shape (..., 6)
     gives (..., 6, 12), each matrix with the bytes of its own 1-D call (the
-    products are elementwise). The 1-D call keeps the plain fancy index,
-    which is faster than take on one row.
+    products are elementwise).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    alpha = alpha[ARM] if alpha.ndim == 1 else alpha.take(ARM, -1)[..., None, :]
+    alpha = np.asarray(alpha, dtype=float).take(ARM, -1)[..., None, :]
     return params.sin_cols * np.sin(alpha) + params.cos_cols * np.cos(alpha)
 
 
