@@ -5,24 +5,21 @@ allocation matrix (with and without tilt bias), and hover efficiency
 metrics, all evaluated over deterministic direction sets: a fixed list
 of canonical directions first, then Fibonacci-sphere samples.
 
-Each sweep calls static_allocation once per direction, looked up as this
-module's global: the benchmark stamps each call as one step of a sweep.
-static_allocation runs on Python floats, with numpy where its kernel sets
-the bits (A^+ w through ndarray.dot, np.hypot and np.arctan2 of the tilt
-extraction, np.arccos in the z angle of the biased map). Its tilt angles
-and rotor speeds fill one row per direction of preallocated arrays, and
-the work after it runs stacked, once per block of BLOCK_DIRS directions:
+Every sweep runs through one direction loop, _static_blocks, which calls
+static_allocation once per direction (the benchmark stamps each call as
+one step of a sweep) and yields the tilt angles and rotor speeds of each
+block of BLOCK_DIRS directions. static_allocation runs on Python floats,
+with numpy where its kernel sets the bits (A^+ w through ndarray.dot,
+np.hypot and np.arctan2 of the tilt extraction, np.arccos in the z angle
+of the biased map). Each sweep's body runs stacked over a block:
 - the envelope peak is the max of each row of the speeds;
-- the condition map builds the block's A_alpha in one build_A_alpha call
-  and takes one np.linalg.svd and one np.log10 of the stack (log10_cond);
-- the efficiency sweep builds A_alpha the same way, forms each direction's
-  F_b = A_alpha Omega through ndarray.dot (BLAS gemv; np.einsum
-  and np.vecdot differ from it in the last bits, and the stacked matmul
-  picks its own kernel), and computes both indices of the block in one
-  call each (f**1.5 and the thrust sums reduce each row as numpy reduces
-  one direction's array).
-Each stacked form gives the bytes of its per-direction call. The blocks
-bound the memory of the stacked temporaries.
+- the condition map takes log10_cond of the block's build_A_alpha: one
+  np.linalg.svd and one np.log10 of the stack;
+- the efficiency sweep forms F_b = A_alpha Omega as one stacked matmul
+  and computes both indices in one call each (f**1.5 and the thrust sums
+  reduce each row as numpy reduces one direction's array).
+Each stacked form gives the bytes of its per-direction call, and no work
+array spans the whole sweep, so every temporary is bounded by the block.
 
 static_allocation follows the allocation's finiteness rule: a wrench whose
 A^+ w is not finite raises FloatingPointError, so the sweeps only ever see
@@ -47,11 +44,6 @@ EPS = float(np.finfo(float).eps)
 ZERO_TILT = (0.0,) * 6
 # Directions per block of the stacked work that follows static_allocation.
 BLOCK_DIRS = 128
-
-
-def _blocks(n):
-    """Slices of n directions in consecutive blocks of at most BLOCK_DIRS."""
-    return [slice(start, min(start + BLOCK_DIRS, n)) for start in range(0, n, BLOCK_DIRS)]
 
 
 def fibonacci_sphere(n):
@@ -122,15 +114,24 @@ def static_allocation(w_des, allocator: Allocator):
     return np.array(alpha), np.array(rotor_speeds(u_list, alpha, params.Omega_max)), u
 
 
+def _static_blocks(allocator, wrenches):
+    """The sweeps' one direction loop: static_allocation, looked up as this
+    module's global at each call, once per wrench in order. Yields (block,
+    alpha (k, 6), Omega (k, 12)) per slice of BLOCK_DIRS wrenches."""
+    for start in range(0, len(wrenches), BLOCK_DIRS):
+        block = slice(start, start + BLOCK_DIRS)
+        alpha, Omega = zip(*(static_allocation(w, allocator)[:2] for w in wrenches[block]))
+        yield block, np.array(alpha), np.array(Omega)
+
+
 def _envelope(params, n_dirs, torque):
     allocator = Allocator(params)
     dirs = envelope_directions(n_dirs)
     zero = np.zeros_like(dirs)
     wrenches = np.hstack([zero, dirs] if torque else [dirs, zero])
-    speeds = np.empty((len(dirs), 12))
-    for i, w in enumerate(wrenches):
-        speeds[i] = static_allocation(w, allocator)[1]
-    peak = speeds.max(axis=-1)
+    peak = np.empty(len(dirs))
+    for block, _, Omega in _static_blocks(allocator, wrenches):
+        peak[block] = Omega.max(axis=-1)
     # Extraction is homogeneous in the wrench magnitude at fixed direction,
     # so the largest feasible scale hits Omega_max exactly.
     radius = np.divide(params.Omega_max, peak, out=np.zeros(len(dirs)), where=peak > 0.0)
@@ -173,11 +174,9 @@ def condition_map(params: VehicleParams, n_dirs, sing_params: SingularityParams 
     allocator = Allocator(params, sing_params)
     dirs = condmap_directions(n_dirs)
     wrenches = np.hstack([dirs, np.zeros_like(dirs)])
-    alpha, values = np.empty((len(dirs), 6)), np.empty(len(dirs))
-    for block in _blocks(len(dirs)):
-        for i in range(block.start, block.stop):
-            alpha[i] = static_allocation(wrenches[i], allocator)[0]
-        values[block] = log10_cond(build_A_alpha(params, alpha[block]))
+    values = np.empty(len(dirs))
+    for block, alpha, _ in _static_blocks(allocator, wrenches):
+        values[block] = log10_cond(build_A_alpha(params, alpha))
     return dirs, values
 
 
@@ -237,18 +236,12 @@ def hover_sweep(params: VehicleParams, n_dirs):
     """
     allocator = Allocator(params)
     dirs = efficiency_directions(n_dirs)
-    n = len(dirs)
     wrenches = np.hstack([params.m * params.g_mag * dirs, np.zeros_like(dirs)])
-    alpha, Omega, F_b = np.empty((n, 6)), np.empty((n, 12)), np.empty((n, 6))
-    eta_P, eta_f, total_power = np.empty(n), np.empty(n), np.empty(n)
-    for block in _blocks(n):
-        rows = range(block.start, block.stop)
-        for i in rows:
-            alpha[i], Omega[i], _ = static_allocation(wrenches[i], allocator)
-        # A_alpha @ Omega per direction, through ndarray.dot (BLAS gemv).
-        for i, A_alpha in zip(rows, build_A_alpha(params, alpha[block])):
-            F_b[i] = A_alpha.dot(Omega[i])
-        thrusts = params.c_f * Omega[block]
+    eta_P, eta_f, total_power = np.empty((3, len(dirs)))
+    for block, alpha, Omega in _static_blocks(allocator, wrenches):
+        # The force rows of A_alpha Omega, one stacked matmul of the block.
+        F_b = (build_A_alpha(params, alpha) @ Omega[..., None])[:, :3, 0]
+        thrusts = params.c_f * Omega
         total_power[block], eta_P[block] = power_efficiency(thrusts, params)
-        eta_f[block] = wasted_force_index(thrusts, F_b[block, :3])
+        eta_f[block] = wasted_force_index(thrusts, F_b)
     return dirs, eta_P, eta_f, total_power

@@ -98,14 +98,9 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-# Kept as a function: the CLI fuzz test shortens the experiments by patching it.
-def _make_trajectory(name, run_config):
-    return TRAJECTORIES[name](run_config)
-
-
 def _cmd_simulate(args, cfg, out_dir):
     name = args.experiment
-    trajectory = _make_trajectory(name, cfg)
+    trajectory = TRAJECTORIES[name](cfg)
     log_path = os.path.join(out_dir, f"{name}_log.csv")
     try:
         log = simulate(trajectory, cfg.vehicle, cfg.gains, cfg.singularity, cfg.sim)

@@ -8,8 +8,9 @@ squared speeds in (rad/s)^2.
 
 VehicleParams rejects every vehicle whose allocation would leave the
 normal floats (non-finite or subnormal parameters, overflowing matrices,
-a hover thrust that underflows); integrate_step raises RuntimeError on a
-state that stops being finite.
+a hover thrust that underflows) and every vehicle whose full thrust
+cannot carry its weight; integrate_step raises RuntimeError on a state
+that stops being finite.
 """
 
 from __future__ import annotations
@@ -166,6 +167,10 @@ class VehicleParams:
         if not hover_thrust >= tiny:
             raise ValueError("hover thrust per rotor, c_f * min(m g / (12 c_f), Omega_max), "
                              "underflows: it must be a normal float")
+        # The twelve rotors at full speed must carry the weight; a full thrust
+        # that overflows to inf carries any weight.
+        if 12.0 * self.c_f * self.Omega_max < self.m * self.g_mag:
+            raise ValueError("full thrust 12 c_f Omega_max cannot carry the weight m g")
         arm_axes = np.stack([np.cos(self.gamma), np.sin(self.gamma), np.zeros(6)], axis=-1)
         # Negated, not built, so the signed zeros are those of -Z_AXIS and -axis.
         singular_lines = np.vstack([Z_AXIS, -Z_AXIS, arm_axes, -arm_axes])

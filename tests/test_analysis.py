@@ -363,6 +363,28 @@ def test_hover_sweep_matches_the_array_formulas_bit_for_bit(off_nominal_vehicle)
                 assert same_bits(a, b)
 
 
+def test_stacked_matmul_gives_the_bytes_of_each_rows_dot(off_nominal_vehicle):
+    """hover_sweep forms F_b as one stacked matmul per block. On build_A_alpha
+    stacks of random and sweep tilts (the efficiency sweep's and the biased
+    condition map's), with speeds in [0, Omega_max] ends included,
+    (A @ Omega[..., None])[..., 0] gives each row's A_i.dot(Omega_i) byte for
+    byte, in stacks of one, of a block and of more."""
+    rng = np.random.default_rng(24)
+    for p in (VehicleParams(), off_nominal_vehicle):
+        efficiency = [static_allocation(np.concatenate([p.m * p.g_mag * d, np.zeros(3)]), Allocator(p))[:2]
+                      for d in efficiency_directions(200)]
+        biased = [static_allocation(np.concatenate([d, np.zeros(3)]), Allocator(p, SingularityParams()))[0]
+                  for d in condmap_directions(200)]
+        alpha = np.vstack([[a for a, _ in efficiency], biased, rng.uniform(-np.pi, np.pi, (200, 6))])
+        ends = rng.choice([0.0, p.Omega_max], (200, 12))
+        sweep_speeds = np.vstack([[o for _, o in efficiency], ends, rng.uniform(0.0, p.Omega_max, (200, 12))])
+        for Omega in (sweep_speeds, rng.uniform(0.0, p.Omega_max, sweep_speeds.shape)):
+            for rows in (slice(0, 1), slice(0, BLOCK_DIRS), slice(None)):
+                A = build_A_alpha(p, alpha[rows])
+                got = (A @ Omega[rows][..., None])[..., 0]
+                assert same_bits(got, [A_i.dot(Omega_i) for A_i, Omega_i in zip(A, Omega[rows])])
+
+
 def test_each_sweep_calls_static_allocation_once_per_direction(monkeypatch):
     """The benchmark stamps every sweep step at a call of the module global
     analysis.static_allocation, so each sweep makes exactly one such call

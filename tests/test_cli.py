@@ -274,6 +274,19 @@ def test_vehicles_whose_hover_thrust_underflows_are_config_errors(tmp_path, caps
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [("efficiency", "--n-dirs", "20"), ("envelope", "--n-dirs", "20"),
+                                  ("simulate", "--experiment", "hover")])
+def test_vehicle_whose_full_thrust_cannot_carry_its_weight_is_config_error(tmp_path, capsys, args):
+    """12 c_f Omega_max of 1.2e-304 N against a weight of 0.981 N: `simulate`
+    fell for 5.8 s and exited 3, and `efficiency` and `envelope` exited 0."""
+    cfg = tmp_path / "weak.json"
+    cfg.write_text(json.dumps({"vehicle": {"c_f": 1e-305, "m": 0.1}}))
+    out = tmp_path / "out"
+    assert cli.main([*args, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "cannot carry the weight" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_tilt_step_limit_that_overflows_is_config_error(tmp_path, capsys):
     """alpha_dot_max * dt_control of 3e308 let the unwinding of a damped arm
     reach the rotor projection as an infinite tilt angle (math.sin raised,

@@ -112,13 +112,13 @@ def assert_finite_json(path):
 @given(config=st.one_of(run_config(valid=True), run_config(valid=False)), experiment=st.sampled_from(cli.EXPERIMENTS),
        duration=st.sampled_from([0.0, 0.01, 0.03]))
 def test_simulate_never_exits_1_or_raises(config, experiment, duration):
-    make = cli._make_trajectory
+    make = cli.TRAJECTORIES[experiment]
 
-    def short(name, run_config):
-        trajectory = make(name, run_config)
+    def short(run_config):
+        trajectory = make(run_config)
         return Trajectory(duration=min(trajectory.duration, duration), sampler=trajectory.sampler)
 
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_make_trajectory", short):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(cli.TRAJECTORIES, {experiment: short}):
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(config, fh)

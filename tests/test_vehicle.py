@@ -63,18 +63,34 @@ def test_params_reject_a_thrust_coefficient_whose_allocation_overflows():
     """A^+ w must stay finite with headroom for the weight and for unit
     wrenches: the smallest normal c_f overflowed the rotor-pair sums of the
     hover wrench, and a tiny mass does not excuse it, as the sweeps allocate
-    1 N. Omega_max plays no part."""
+    1 N. Omega_max plays no part in this rule; the good vehicles get one
+    that carries their weight."""
     tiny_normal = 2.2250738585072014e-308
     for bad in (dict(c_f=tiny_normal), dict(c_f=tiny_normal, m=1e-300),
                 dict(c_f=tiny_normal, Omega_max=1.7976931348623157e308), dict(c_f=1e-200, m=1e150)):
         with pytest.raises(ValueError, match="allocation of the weight overflows"):
             VehicleParams(**bad)
-    for good in (dict(c_f=1e-300), dict(c_f=1e-300, m=1e-300), dict(m=1e150)):
+    for good in (dict(c_f=1e-300, Omega_max=1e301), dict(c_f=1e-300, m=1e-300), dict(m=1e150, Omega_max=1e156)):
         p = VehicleParams(**good)
         bound = np.abs(p.A_pinv).sum(axis=1).max() * max(p.m * p.g_mag, 1.0)
         assert bound < np.finfo(float).max / vehicle.ALLOCATION_HEADROOM
         w = np.array([0.0, 0.0, p.m * p.g_mag, 0.0, 0.0, 0.0])
         assert np.all(np.isfinite(Allocator(p).allocate(w, np.zeros(6), 0.005).Omega_cmd))
+
+
+def test_params_reject_a_vehicle_whose_full_thrust_cannot_carry_its_weight():
+    """12 c_f Omega_max must reach m g: c_f of 1e-305 with m of 0.1 once fell
+    in `simulate` and passed the sweeps. Equality carries the weight, and a
+    full thrust that overflows to inf carries any weight."""
+    for bad in (dict(c_f=1e-305, m=0.1), dict(Omega_max=3.2e5), dict(m=12.5),
+                dict(c_f=0.5, Omega_max=2.0, m=1.2, g_mag=10.0000000001)):
+        with pytest.raises(ValueError, match="cannot carry the weight"):
+            VehicleParams(**bad)
+    for good in (dict(c_f=0.5, Omega_max=2.0, m=1.2, g_mag=10.0), dict(Omega_max=3.3e5),
+                 dict(c_f=1e300, Omega_max=1e300)):
+        p = VehicleParams(**good)
+        assert 12.0 * p.c_f * p.Omega_max >= p.m * p.g_mag
+    assert 12.0 * 1e300 * 1e300 == np.inf
 
 
 # Each parameter block, its scalar fields, and valid values of them as ints.

@@ -21,6 +21,12 @@ median and quartiles, the median ratio and the number of pairs in which the
 change was lower. It is written after every pair. An existing output file
 is updated: the workload's entry is replaced and the other workloads'
 entries are kept, so one file can hold the pairs of all three workloads.
+
+At the end of the series it prints, per metric, both medians, the median
+ratio and the pairs the change won. A metric is marked unresolved when the
+parent's quartile spread over its median exceeds the metric's bound in the
+BENCHMARK.json at the root of this script's checkout (read only): the runs
+then spread too widely for that bound to tell a change from noise.
 """
 
 from __future__ import annotations
@@ -31,8 +37,16 @@ import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 SIDES = ("parent", "change")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def end_to_end_bounds():
+    """{metric: relative bound} of the benchmark's end-to-end metrics."""
+    with open(BENCHMARK) as fh:
+        return {metric["name"]: metric["bound"] for metric in json.load(fh)["end_to_end"]}
 
 
 def parse_seeds(text):
@@ -63,7 +77,10 @@ def quartiles(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def summarize(pairs):
+def summarize(pairs, bounds):
+    """Per metric: each side's quartiles, the median ratio, the pairs the
+    change won, and, for a bounded metric, whether the parent's quartile
+    spread over its median exceeds the bound (unresolved)."""
     names = [k for k, v in pairs[0]["parent"].items() if isinstance(v, float)]
     summary = {}
     for name in names:
@@ -76,7 +93,18 @@ def summarize(pairs):
             "change_lower": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(pairs),
         }
+        if name in bounds:
+            q = summary[name]["parent"]
+            summary[name]["unresolved"] = q["q3"] - q["q1"] > bounds[name] * q["median"]
     return summary
+
+
+def print_summary(workload, summary):
+    for name, entry in summary.items():
+        verdict = "; unresolved: the parent's quartile spread exceeds the bound" if entry.get("unresolved") else ""
+        print(f"{workload} {name}: median parent {entry['parent']['median']:.6g}, change "
+              f"{entry['change']['median']:.6g}; ratio median {entry['ratio_median']:.3f}; "
+              f"change lower in {entry['change_lower']}/{entry['pairs']} pairs{verdict}")
 
 
 def main(argv=None):
@@ -92,6 +120,7 @@ def main(argv=None):
     if len(args.seeds) < args.pairs:
         parser.error(f"--seeds gives {len(args.seeds)} seeds for {args.pairs} pairs")
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    bounds = end_to_end_bounds()
 
     report = {}
     if os.path.exists(args.out):
@@ -120,11 +149,12 @@ def main(argv=None):
         report.setdefault("pairs", {})[args.workload] = {
             "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
             "pairs": pairs,
-            "summary": summarize(pairs),
+            "summary": summarize(pairs, bounds),
         }
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
+    print_summary(args.workload, report["pairs"][args.workload]["summary"])
     return 0
 
 
