@@ -5,21 +5,22 @@ allocation matrix (with and without tilt bias), and hover efficiency
 metrics, all evaluated over deterministic direction sets: a fixed list
 of canonical directions first, then Fibonacci-sphere samples.
 
-Every sweep runs through one direction loop, _static_blocks, which calls
-static_allocation once per direction (the benchmark stamps each call as
-one step of a sweep) and yields the tilt angles and rotor speeds of each
-block of BLOCK_DIRS directions. static_allocation runs on Python floats,
-with numpy where its kernel sets the bits (A^+ w through ndarray.dot,
-np.hypot and np.arctan2 of the tilt extraction, np.arccos in the z angle
-of the biased map). Each sweep's body runs stacked over a block:
+Every sweep runs through one direction loop, _static_blocks: it takes the
+directions and the wrench layout, builds the sweep's one Allocator and each
+block's wrenches, calls static_allocation once per direction (the benchmark
+stamps each call as one step of a sweep) and yields the tilt angles and
+rotor speeds of each block of BLOCK_DIRS directions. static_allocation runs
+on Python floats, with numpy where its kernel sets the bits (A^+ w through
+ndarray.dot, np.hypot and np.arctan2 of the tilt extraction, np.arccos in
+the z angle of the biased map). Each sweep's body runs stacked over a block:
 - the envelope peak is the max of each row of the speeds;
 - the condition map takes log10_cond of the block's build_A_alpha: one
   np.linalg.svd and one np.log10 of the stack;
 - the efficiency sweep forms F_b = A_alpha Omega as one stacked matmul
   and computes both indices in one call each (f**1.5 and the thrust sums
   reduce each row as numpy reduces one direction's array).
-Each stacked form gives the bytes of its per-direction call, and no work
-array spans the whole sweep, so every temporary is bounded by the block.
+Each stacked form gives the bytes of its per-direction call. Only the
+directions and the outputs span the sweep; all else is bounded by a block.
 
 static_allocation follows the allocation's finiteness rule: a wrench whose
 A^+ w is not finite raises FloatingPointError, so the sweeps only ever see
@@ -114,23 +115,25 @@ def static_allocation(w_des, allocator: Allocator):
     return np.array(alpha), np.array(rotor_speeds(u_list, alpha, params.Omega_max)), u
 
 
-def _static_blocks(allocator, wrenches):
-    """The sweeps' one direction loop: static_allocation, looked up as this
-    module's global at each call, once per wrench in order. Yields (block,
-    alpha (k, 6), Omega (k, 12)) per slice of BLOCK_DIRS wrenches."""
-    for start in range(0, len(wrenches), BLOCK_DIRS):
+def _static_blocks(params, dirs, sing_params=None, first=0, scale=1.0):
+    """The sweeps' one direction loop, over the sweep's one Allocator. Each
+    block of BLOCK_DIRS directions d gets wrenches with scale * d in rows
+    first to first + 3 and zeros elsewhere; static_allocation, looked up as
+    this module's global, runs once per wrench in order. Yields (block,
+    alpha (k, 6), Omega (k, 12)) per block."""
+    allocator = Allocator(params, sing_params)
+    for start in range(0, len(dirs), BLOCK_DIRS):
         block = slice(start, start + BLOCK_DIRS)
-        alpha, Omega = zip(*(static_allocation(w, allocator)[:2] for w in wrenches[block]))
+        wrenches = np.zeros((len(dirs[block]), 6))
+        wrenches[:, first:first + 3] = scale * dirs[block]
+        alpha, Omega = zip(*(static_allocation(w, allocator)[:2] for w in wrenches))
         yield block, np.array(alpha), np.array(Omega)
 
 
 def _envelope(params, n_dirs, torque):
-    allocator = Allocator(params)
     dirs = envelope_directions(n_dirs)
-    zero = np.zeros_like(dirs)
-    wrenches = np.hstack([zero, dirs] if torque else [dirs, zero])
     peak = np.empty(len(dirs))
-    for block, _, Omega in _static_blocks(allocator, wrenches):
+    for block, _, Omega in _static_blocks(params, dirs, first=3 if torque else 0):
         peak[block] = Omega.max(axis=-1)
     # Extraction is homogeneous in the wrench magnitude at fixed direction,
     # so the largest feasible scale hits Omega_max exactly.
@@ -171,11 +174,9 @@ def condition_map(params: VehicleParams, n_dirs, sing_params: SingularityParams 
     each direction, tilt-biased when sing_params is given. Rank-deficient
     matrices report +inf.
     """
-    allocator = Allocator(params, sing_params)
     dirs = condmap_directions(n_dirs)
-    wrenches = np.hstack([dirs, np.zeros_like(dirs)])
     values = np.empty(len(dirs))
-    for block, alpha, _ in _static_blocks(allocator, wrenches):
+    for block, alpha, _ in _static_blocks(params, dirs, sing_params):
         values[block] = log10_cond(build_A_alpha(params, alpha))
     return dirs, values
 
@@ -234,11 +235,9 @@ def hover_sweep(params: VehicleParams, n_dirs):
     converged) and the wasted-force and power-efficiency indices are
     computed from the resulting rotor thrusts.
     """
-    allocator = Allocator(params)
     dirs = efficiency_directions(n_dirs)
-    wrenches = np.hstack([params.m * params.g_mag * dirs, np.zeros_like(dirs)])
     eta_P, eta_f, total_power = np.empty((3, len(dirs)))
-    for block, alpha, Omega in _static_blocks(allocator, wrenches):
+    for block, alpha, Omega in _static_blocks(params, dirs, scale=params.m * params.g_mag):
         # The force rows of A_alpha Omega, one stacked matmul of the block.
         F_b = (build_A_alpha(params, alpha) @ Omega[..., None])[:, :3, 0]
         thrusts = params.c_f * Omega

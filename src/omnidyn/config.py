@@ -107,6 +107,14 @@ def _check_keys(block_name, block, allowed):
         raise ConfigError(f"unknown key(s) in '{block_name}': {sorted(unknown)}")
 
 
+def _load(name, key, load, value):
+    """One row's load conversion; its errors name the key."""
+    try:
+        return load(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"invalid parameter value for '{name}.{key}': {exc}") from exc
+
+
 def _build(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level configuration must be a JSON object")
@@ -117,7 +125,8 @@ def _build(raw) -> RunConfig:
         if not isinstance(block, dict):
             raise ConfigError(f"'{name}' must be a JSON object")
         _check_keys(name, block, [key for key, *_ in rows])
-        kwargs[name] = cls(**{attr: load(block[key]) for key, attr, load, _ in rows if key in block})
+        kwargs[name] = cls(**{attr: _load(name, key, load, block[key])
+                              for key, attr, load, _ in rows if key in block})
     return RunConfig(**kwargs)
 
 
@@ -137,7 +146,7 @@ def load_run_config(path=None) -> RunConfig:
     except ValueError as exc:
         # Bytes that are not UTF-8, or an integer of more than 4300 digits.
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    # Conversions and dataclass checks anywhere in _build raise these.
+    # The dataclass checks in _build raise these; _load names the key itself.
     try:
         return _build(raw)
     except (ValueError, TypeError, OverflowError) as exc:

@@ -96,7 +96,8 @@ def compute_errors(state: RigidBodyState, sp: TrajectorySetpoint) -> ControlErro
 
 
 def _cross(a0, a1, a2, b0, b1, b2):
-    """mathcore.cross on floats, as a tuple."""
+    """a x b of two 3-vectors of floats, as a tuple, with np.cross's bits
+    (the products and differences of its 3-vector branch)."""
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 

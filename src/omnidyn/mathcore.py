@@ -32,18 +32,6 @@ def vee(M):
     return np.array([M[2, 1], M[0, 2], M[1, 0]])
 
 
-def cross(a, b):
-    """Cross product of two 3-vectors.
-
-    Forms the same products and differences as the 3-vector branch of
-    np.cross (first component a1*b2 - a2*b1), so the result is bit for
-    bit np.cross(a, b), without its axis handling.
-    """
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def axis_rotation(axis):
     """Rodrigues rotation about a fixed unit axis, as a function of the angle (rad).
 
@@ -118,9 +106,7 @@ def orthonormalize(R):
     """Nearest rotation matrix (polar decomposition via SVD)."""
     U, _, Vt = np.linalg.svd(np.asarray(R, dtype=float))
     D = U @ Vt
-    # D is orthogonal, so its determinant is +/-1 and the sign of the
-    # triple product (row 0) . (row 1 x row 2) is the sign of det(D).
-    if D[0] @ cross(D[1], D[2]) < 0.0:
+    if np.linalg.det(D) < 0.0:
         U = U.copy()
         U[:, -1] = -U[:, -1]
         D = U @ Vt

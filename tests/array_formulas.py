@@ -33,7 +33,7 @@ def errors(state, sp):
 
 
 def wrench(errors, state, sp, gains, params):
-    """control_wrench: (F, tau). np.cross has mathcore.cross's bits."""
+    """control_wrench: (F, tau). np.cross has controller._cross's bits."""
     e_p, e_v, e_R, e_omega = errors
     g_vec = np.array([0.0, 0.0, params.g_mag])
     a_cmd = -gains.k_p * e_p - gains.k_v * e_v + sp.a_sp + g_vec

@@ -407,6 +407,26 @@ def test_each_sweep_calls_static_allocation_once_per_direction(monkeypatch):
             assert len(calls) == n
 
 
+def test_each_block_forms_its_own_wrenches(monkeypatch):
+    """No wrench array spans the whole sweep: every wrench static_allocation
+    receives is a row of an array of at most BLOCK_DIRS rows."""
+    rows = []
+    original = analysis.static_allocation
+
+    def recorded(w, allocator):
+        rows.append(len(w.base))
+        return original(w, allocator)
+
+    monkeypatch.setattr(analysis, "static_allocation", recorded)
+    p = VehicleParams()
+    n = 3 * BLOCK_DIRS + 5
+    for sweep in (force_envelope, torque_envelope, condition_map,
+                  lambda p, n: condition_map(p, n, SingularityParams()), hover_sweep):
+        rows.clear()
+        sweep(p, n)
+        assert len(rows) == n and max(rows) <= BLOCK_DIRS
+
+
 def test_efficiency_indices_match_the_array_formulas_bit_for_bit():
     """power_efficiency and wasted_force_index on floats return or raise as
     the array formulas do, on signed zeros, NaN, inf and negative thrusts."""

@@ -128,6 +128,21 @@ def test_strings_booleans_and_non_numbers_are_config_errors(tmp_path, capsys, bl
     assert not (out / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize("block, key", [
+    ({"vehicle": {"m": "4.5"}}, "vehicle.m"),
+    ({"singularity": {"phi_0_deg": "4"}}, "singularity.phi_0_deg"),
+    ({"gains": {"k_p": [1]}}, "gains.k_p"),
+])
+def test_a_value_of_the_wrong_type_names_its_key(tmp_path, capsys, block, key):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(block))
+    out = tmp_path / "out"
+    assert cli.main(["envelope", "--config", str(cfg), "--out", str(out), "--n-dirs", "4"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "must be a real number" in err
+    assert not (out / "effective_config.json").exists()
+
+
 def test_n_dirs_flag_overrides_the_config_and_the_echo_keeps_the_config(tmp_path):
     cfg = tmp_path / "dirs.json"
     cfg.write_text(json.dumps({"n_dirs": 6}))
