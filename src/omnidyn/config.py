@@ -38,11 +38,19 @@ ASSUMED_SOURCES = {
     "sim": "assumed",
 }
 
+
+def _three(values):
+    array = np.asarray(values, dtype=float)
+    if array.shape != (3,):
+        raise ValueError(f"needs 3 entries, got an array of shape {array.shape}")
+    return array
+
+
 # (load, echo) conversions between a JSON value and a dataclass field.
 # A scalar is a JSON number: as_float refuses strings and booleans.
 SCALAR = (as_float, float)
-VECTOR = (lambda x: np.asarray(x, dtype=float), list)
-DIAGONAL = (lambda d: np.diag(np.asarray(d, dtype=float)), lambda J: list(np.diag(J)))
+VECTOR = (_three, list)
+DIAGONAL = (lambda d: np.diag(_three(d)), lambda J: list(np.diag(J)))
 DEGREES = (lambda deg: np.deg2rad(as_float(deg)), lambda rad: float(np.rad2deg(rad)))
 
 BLOCKS = {
@@ -107,12 +115,12 @@ def _check_keys(block_name, block, allowed):
         raise ConfigError(f"unknown key(s) in '{block_name}': {sorted(unknown)}")
 
 
-def _load(name, key, load, value):
-    """One row's load conversion; its errors name the key."""
+def _checked(where, fn, /, *args, **kwargs):
+    """fn(*args, **kwargs); a value error says where the values came from."""
     try:
-        return load(value)
+        return fn(*args, **kwargs)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"invalid parameter value for '{name}.{key}': {exc}") from exc
+        raise ConfigError(f"invalid parameter value {where}: {exc}") from exc
 
 
 def _build(raw) -> RunConfig:
@@ -125,9 +133,11 @@ def _build(raw) -> RunConfig:
         if not isinstance(block, dict):
             raise ConfigError(f"'{name}' must be a JSON object")
         _check_keys(name, block, [key for key, *_ in rows])
-        kwargs[name] = cls(**{attr: _load(name, key, load, block[key])
-                              for key, attr, load, _ in rows if key in block})
-    return RunConfig(**kwargs)
+        # A load error names its key; a rule error names the block and its keys.
+        loaded = {attr: _checked(f"for '{name}.{key}'", load, block[key])
+                  for key, attr, load, _ in rows if key in block}
+        kwargs[name] = _checked(f"in '{name}' ({', '.join(block)})", cls, **loaded)
+    return _checked("for 'n_dirs'", RunConfig, **kwargs)
 
 
 def load_run_config(path=None) -> RunConfig:
@@ -146,8 +156,4 @@ def load_run_config(path=None) -> RunConfig:
     except ValueError as exc:
         # Bytes that are not UTF-8, or an integer of more than 4300 digits.
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    # The dataclass checks in _build raise these; _load names the key itself.
-    try:
-        return _build(raw)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"invalid parameter value: {exc}") from exc
+    return _build(raw)

@@ -10,7 +10,6 @@ that is not finite is caught by the allocation's finiteness rule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 # compute_errors takes the entries of vee on floats; vee stays bound here
 # because perfbench/tracer.py looks it up in this module.
 from .mathcore import vee  # noqa: F401
-from .vehicle import RigidBodyState, VehicleParams, Wrench, as_float
+from .vehicle import RigidBodyState, VehicleParams, Wrench, store_floats
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class Gains:
     conditioning, which shows up as a steady offset inversely proportional
     to ``k_p``; the defaults keep that offset, and the transients of the
     aggressive attitude maneuvers, inside millimetre / sub-degree territory.
-    The gains are stored as Python floats (see vehicle.as_float); the block
+    The gains are stored as Python floats (see vehicle.store_floats); the block
     is frozen, so no assignment after construction can skip that or the checks.
     """
 
@@ -40,11 +39,7 @@ class Gains:
     k_omega: float = 69.3
 
     def __post_init__(self):
-        scalars = ("k_p", "k_v", "k_R", "k_omega")
-        for name in scalars:
-            object.__setattr__(self, name, as_float(getattr(self, name), name))
-        if not all(math.isfinite(getattr(self, name)) for name in scalars):
-            raise ValueError("gains must be finite")
+        store_floats(self, ("k_p", "k_v", "k_R", "k_omega"), "gains must be finite")
         if min(self.k_p, self.k_v, self.k_R, self.k_omega) <= 0.0:
             raise ValueError("all gains must be positive")
 

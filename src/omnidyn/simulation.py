@@ -18,7 +18,7 @@ from .controller import Gains, compute_errors, control_wrench
 from .mathcore import rotation_to_quat, wrap_angle
 from .singularity import SingularityParams
 from .trajectories import Trajectory
-from .vehicle import RigidBodyState, VehicleParams, Wrench, as_float, integrate_step
+from .vehicle import RigidBodyState, VehicleParams, Wrench, integrate_step, store_floats
 
 
 # Smallest accepted time step, s. Far below any control or physics rate;
@@ -46,7 +46,7 @@ class SimConfig:
 
     Both time steps must be at least MIN_TIME_STEP, and dt_control an
     integer multiple of dt_physics. The time steps and a given duration are
-    stored as Python floats (see vehicle.as_float); the block is frozen, so
+    stored as Python floats (see vehicle.store_floats); the block is frozen, so
     no assignment after construction can skip that or the checks.
     """
 
@@ -56,13 +56,10 @@ class SimConfig:
     initial_state: RigidBodyState | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dt_physics", as_float(self.dt_physics, "dt_physics"))
-        object.__setattr__(self, "dt_control", as_float(self.dt_control, "dt_control"))
-        if not (math.isfinite(self.dt_physics) and math.isfinite(self.dt_control)):
-            raise ValueError("time steps must be finite")
+        store_floats(self, ("dt_physics", "dt_control"), "time steps must be finite")
         if self.duration is not None:
-            object.__setattr__(self, "duration", as_float(self.duration, "duration"))
-            if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            store_floats(self, ("duration",), "duration must be finite and nonnegative")
+            if self.duration < 0.0:
                 raise ValueError("duration must be finite and nonnegative")
         if self.dt_physics < MIN_TIME_STEP or self.dt_control < MIN_TIME_STEP:
             raise ValueError(f"time steps must be at least {MIN_TIME_STEP} s")

@@ -5,8 +5,8 @@ commands bounded when the desired force direction approaches a
 degenerate geometry:
 
 * tilt bias: when the force comes within phi_t of the body z-axis or the
-  body z-plane, arms are biased apart by alternating offsets so the
-  instantaneous allocation matrix keeps full rank;
+  body z-plane, arms are biased apart by the alternating offsets BIAS so
+  the instantaneous allocation matrix keeps full rank;
 * tilt damping: when the force aligns with an arm line, that arm's
   extracted tilt angle becomes ill defined and its commanded velocity is
   quadratically damped to zero (the arm freezes);
@@ -21,13 +21,17 @@ passed its finiteness rule (omnidyn.allocation), and run on Python floats.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .mathcore import angle_between, row_angles
-from .vehicle import ARM, Z_AXIS, VehicleParams, as_float, build_A_alpha
+from .vehicle import ARM, SINGULAR_LINES, SINGULAR_NORMS, VehicleParams, build_A_alpha, store_floats
+
+# Per-arm bias directions, alternating -1, +1 (read-only).
+BIAS = np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+BIAS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -39,11 +43,10 @@ class SingularityParams:
     phi_t: z-misalignment angle below which tilt bias activates, rad
     c_t: full-bias tilt offset magnitude, rad
     omega_u: unwinding rate for frozen arms, rad/s
-    b: per-arm bias directions, alternating +/-1
 
-    The scalar fields are stored as Python floats (see vehicle.as_float); the
+    The fields are stored as Python floats (see vehicle.store_floats); the
     block is frozen, so no assignment after construction can skip that or the
-    checks.
+    checks. b, the per-arm bias directions, is the shared read-only BIAS.
     """
 
     phi_0: float = np.deg2rad(5.0)
@@ -51,28 +54,17 @@ class SingularityParams:
     phi_t: float = np.deg2rad(10.0)
     c_t: float = np.deg2rad(10.0)
     omega_u: float = 8.0
-    b: np.ndarray = field(default_factory=lambda: np.array([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]))
+    b: ClassVar[np.ndarray] = BIAS
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
-        scalars = ("phi_0", "phi_d", "phi_t", "c_t", "omega_u")
-        for name in scalars:
-            object.__setattr__(self, name, as_float(getattr(self, name), name))
-        if not all(math.isfinite(getattr(self, name)) for name in scalars):
-            raise ValueError("singularity parameters must be finite")
+        store_floats(self, ("phi_0", "phi_d", "phi_t", "c_t", "omega_u"),
+                     "singularity parameters must be finite")
         if not (0.0 < self.phi_0 < self.phi_d):
             raise ValueError("need 0 < phi_0 < phi_d")
         if self.phi_t <= 0.0 or self.c_t <= 0.0:
             raise ValueError("phi_t and c_t must be positive")
         if self.omega_u < 0.0:
             raise ValueError("omega_u must be nonnegative")
-        if self.b.shape != (6,) or not np.all(np.isin(self.b, (-1.0, 1.0))) or np.any(self.b[:-1] == self.b[1:]):
-            raise ValueError("b must be 6 alternating entries of +/-1")
-
-
-# +z and -z, with the row norms angle_between computes for them.
-Z_LINES = np.vstack([Z_AXIS, -Z_AXIS])
-Z_NORMS = np.sqrt(np.vecdot(Z_LINES, Z_LINES))
 
 
 def _nearest_z_family(to_z, to_minus_z):
@@ -84,10 +76,10 @@ def z_misalignment(F_dir):
     """Angle of a unit force direction to the nearer of the body z-axis
     (either sign) and the body z-plane. Ranges over [0, pi/4].
 
-    One row_angles call over Z_LINES with the stored Z_NORMS gives the bits
-    of angle_between(F_dir, Z_AXIS) and angle_between(F_dir, -Z_AXIS).
+    One row_angles call over +z and -z (rows 0-1 of SINGULAR_LINES) gives
+    the bits of angle_between(F_dir, Z_AXIS) and of its call with -Z_AXIS.
     """
-    to_z, to_minus_z = row_angles(F_dir, Z_LINES, Z_NORMS).tolist()
+    to_z, to_minus_z = row_angles(F_dir, SINGULAR_LINES[:2], SINGULAR_NORMS[:2]).tolist()
     return _nearest_z_family(to_z, to_minus_z)
 
 
@@ -99,13 +91,13 @@ def tilt_bias_multiplier(phi, params: SingularityParams):
 
 
 def apply_tilt_bias(delta_alpha, k_t, params: SingularityParams):
-    """Add the alternating bias offsets k_t * b_i * c_t to each arm's tilt step.
+    """Add the alternating bias offsets k_t * BIAS_i * c_t to each arm's tilt step.
 
     Python floats in, a list of floats out; each offset is formed in the
     order numpy's k_t * b * c_t takes.
     """
     c_t = params.c_t
-    return [d + k_t * b * c_t for d, b in zip(delta_alpha, params.b.tolist())]
+    return [d + k_t * b * c_t for d, b in zip(delta_alpha, BIAS.tolist())]
 
 
 def arm_alignment(F_dir, arm_index, params: VehicleParams):

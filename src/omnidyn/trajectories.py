@@ -25,9 +25,6 @@ class Trajectory:
     duration: float
     sampler: Callable[[float], TrajectorySetpoint]
 
-    def __call__(self, t):
-        return self.sampler(t)
-
 
 def quintic_blend(t, T):
     """Smooth 0 -> 1 blend with zero boundary velocity and acceleration.

@@ -6,6 +6,10 @@ lower rotor j = i + 6; ARM maps each rotor to its arm). Thrust is
 quadratic in rotor speed, so all rotor "speeds" Omega in this package are
 squared speeds in (rad/s)^2.
 
+The geometry is one fixed design: GAMMA, SPIN, ARM_AXES, SINGULAR_LINES
+and SINGULAR_NORMS are read-only constants built at import, which
+VehicleParams reads as class attributes.
+
 VehicleParams rejects every vehicle whose allocation would leave the
 normal floats (non-finite or subnormal parameters, overflowing matrices,
 a hover thrust that underflows) and every vehicle whose full thrust
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,6 +37,17 @@ DIVERGED = "integration step produced non-finite state"
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
+# Arm azimuths, rotor spins (upper +1, lower -1), unit arm axes and the 14
+# singular force directions [z, -z, arm axes, -arm axes], negated so the signed
+# zeros are those of -Z_AXIS and -axis, with the norms angle_between computes.
+GAMMA = np.arange(6) * np.pi / 3.0
+SPIN = np.concatenate([np.ones(6), -np.ones(6)])
+ARM_AXES = np.stack([np.cos(GAMMA), np.sin(GAMMA), np.zeros(6)], axis=-1)
+SINGULAR_LINES = np.vstack([Z_AXIS, -Z_AXIS, ARM_AXES, -ARM_AXES])
+SINGULAR_NORMS = np.sqrt(np.vecdot(SINGULAR_LINES, SINGULAR_LINES))
+for _constant in (Z_AXIS, GAMMA, SPIN, ARM_AXES, SINGULAR_LINES, SINGULAR_NORMS):
+    _constant.flags.writeable = False
+
 # Factor by which A^+ w for the weight (or a unit wrench, whichever is larger)
 # must stay below the largest float: the rotor-pair sums, their hypot and the
 # projections grow it by up to 2 sqrt(2), and the closed loop asks for more
@@ -44,15 +60,27 @@ def as_float(value, name="value"):
     scalar (0-d arrays included).
 
     Booleans, strings, None and arrays with ndim > 0 raise TypeError. The
-    parameter blocks store their scalars through this, because a numpy
-    scalar that reaches the float tick turns its arithmetic into numpy-scalar
-    arithmetic; both give the same bits for + - * /, sqrt, sin, cos and ** 2.0.
+    parameter blocks store their scalars through this (see store_floats),
+    because a numpy scalar that reaches the float tick turns its arithmetic
+    into numpy-scalar arithmetic; both give the same bits for + - * /, sqrt,
+    sin, cos and ** 2.0.
     """
     if isinstance(value, np.ndarray) and value.ndim == 0:
         value = value[()]
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def store_floats(block, names, message):
+    """Store the named fields of a frozen parameter block as Python floats
+    (as_float, whose TypeError names the field) and raise ValueError(message)
+    when one of them is not finite."""
+    values = [as_float(getattr(block, name), name) for name in names]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(message)
+    for name, value in zip(names, values):
+        object.__setattr__(block, name, value)
 
 
 @dataclass(frozen=True)
@@ -63,49 +91,45 @@ class VehicleParams:
     J_b: body inertia matrix (diagonal, principal axes), kg m^2
     x_com: center-of-mass offset from the geometric center, m
     l_x: arm length, m
-    gamma: arm azimuth angles, rad, shape (6,)
-    s: rotor spin directions in {+1, -1}, shape (12,); s[i+6] == -s[i]
     c_f: thrust coefficient, N/(rad/s)^2
     c_d: drag-to-thrust moment arm, m
     Omega_max: maximum squared rotor speed, (rad/s)^2
     alpha_dot_max: maximum tilt rate, rad/s
     g_mag: gravitational acceleration, m/s^2
 
-    The scalar fields are stored as Python floats (see as_float).
+    The scalar fields are stored as Python floats (see store_floats). gamma,
+    s, arm_axes, singular_lines and singular_norms are the shared read-only
+    module constants.
     """
 
     m: float = 4.0
     J_b: np.ndarray = field(default_factory=lambda: np.diag([0.08, 0.08, 0.14]))
     x_com: np.ndarray = field(default_factory=lambda: np.zeros(3))
     l_x: float = 0.3
-    gamma: np.ndarray = field(default_factory=lambda: np.arange(6) * np.pi / 3.0)
-    s: np.ndarray = field(default_factory=lambda: np.concatenate([np.ones(6), -np.ones(6)]))
     c_f: float = 1.0e-5
     c_d: float = 0.016
     Omega_max: float = 1.0e6
     alpha_dot_max: float = 6.0
     g_mag: float = 9.81
+    gamma: ClassVar[np.ndarray] = GAMMA
+    s: ClassVar[np.ndarray] = SPIN
+    arm_axes: ClassVar[np.ndarray] = ARM_AXES
+    singular_lines: ClassVar[np.ndarray] = SINGULAR_LINES
+    singular_norms: ClassVar[np.ndarray] = SINGULAR_NORMS
     # Derived in __post_init__: rotor_columns, the fixed 6x24 allocation matrix
-    # (layout in omnidyn.allocation), its pseudo-inverse, the unit arm axes,
-    # the 14 singular force directions [z, -z, arm axes, -arm axes] and their
-    # norms (nonzero: each row is a unit vector up to rounding).
+    # (layout in omnidyn.allocation) and its pseudo-inverse.
     sin_cols: np.ndarray = field(init=False, repr=False, compare=False)
     cos_cols: np.ndarray = field(init=False, repr=False, compare=False)
     A: np.ndarray = field(init=False, repr=False, compare=False)
     A_pinv: np.ndarray = field(init=False, repr=False, compare=False)
-    arm_axes: np.ndarray = field(init=False, repr=False, compare=False)
-    singular_lines: np.ndarray = field(init=False, repr=False, compare=False)
-    singular_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Frozen: fields are set here once, so the derived ones never go stale.
-        for name in ("J_b", "x_com", "gamma", "s"):
+        for name in ("J_b", "x_com"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        scalars = ("m", "l_x", "c_f", "c_d", "Omega_max", "alpha_dot_max", "g_mag")
-        for name in scalars:
-            object.__setattr__(self, name, as_float(getattr(self, name), name))
-        if not (all(math.isfinite(getattr(self, name)) for name in scalars)
-                and all(np.isfinite(a).all() for a in (self.J_b, self.x_com, self.gamma))):
+        store_floats(self, ("m", "l_x", "c_f", "c_d", "Omega_max", "alpha_dot_max", "g_mag"),
+                     "vehicle parameters must be finite")
+        if not (np.isfinite(self.J_b).all() and np.isfinite(self.x_com).all()):
             raise ValueError("vehicle parameters must be finite")
         if self.x_com.shape != (3,):
             raise ValueError("x_com must have 3 entries")
@@ -130,12 +154,6 @@ class VehicleParams:
             raise ValueError("J_b must be 3x3")
         if np.any(np.diag(self.J_b) < tiny) or np.max(np.abs(self.J_b - np.diag(np.diag(self.J_b)))) > 0.0:
             raise ValueError("J_b must be diagonal with positive, not subnormal entries")
-        if self.gamma.shape != (6,):
-            raise ValueError("gamma must have 6 arm azimuths")
-        if self.s.shape != (12,) or not np.all(np.isin(self.s, (-1.0, 1.0))):
-            raise ValueError("s must be 12 entries of +/-1")
-        if np.any(self.s[:6] != -self.s[6:]):
-            raise ValueError("upper and lower rotors of an arm must counter-rotate")
         for name in ("c_f", "c_d", "l_x", "Omega_max", "alpha_dot_max", "g_mag"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
@@ -171,14 +189,7 @@ class VehicleParams:
         # that overflows to inf carries any weight.
         if 12.0 * self.c_f * self.Omega_max < self.m * self.g_mag:
             raise ValueError("full thrust 12 c_f Omega_max cannot carry the weight m g")
-        arm_axes = np.stack([np.cos(self.gamma), np.sin(self.gamma), np.zeros(6)], axis=-1)
-        # Negated, not built, so the signed zeros are those of -Z_AXIS and -axis.
-        singular_lines = np.vstack([Z_AXIS, -Z_AXIS, arm_axes, -arm_axes])
-        # The row norms mathcore.angle_between computes, once per vehicle.
-        singular_norms = np.sqrt(np.vecdot(singular_lines, singular_lines))
-        for name, value in (("sin_cols", sin_cols), ("cos_cols", cos_cols), ("A", A),
-                            ("A_pinv", A_pinv), ("arm_axes", arm_axes),
-                            ("singular_lines", singular_lines), ("singular_norms", singular_norms)):
+        for name, value in (("sin_cols", sin_cols), ("cos_cols", cos_cols), ("A", A), ("A_pinv", A_pinv)):
             object.__setattr__(self, name, value)
 
 
@@ -225,11 +236,10 @@ def rotor_columns(params: VehicleParams):
     cos(alpha_i)*Omega_j) for rotor j on arm i = ARM[j]. The sin component
     is thrust along the arm tangent; the cos component is thrust along
     body z. Drag torque enters through the moment arm c_d with the spin
-    direction s_j.
+    direction SPIN[j].
     """
-    g = params.gamma[ARM]
-    sg, cg = np.sin(g), np.cos(g)
-    sd = params.s * params.c_d
+    sg, cg = np.sin(GAMMA[ARM]), np.cos(GAMMA[ARM])
+    sd = SPIN * params.c_d
     zero, one = np.zeros(12), np.ones(12)
     lx = params.l_x
     sin_cols = params.c_f * np.array([sg, -cg, zero, -sd * sg, sd * cg, -lx * one])

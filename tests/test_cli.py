@@ -143,6 +143,25 @@ def test_a_value_of_the_wrong_type_names_its_key(tmp_path, capsys, block, key):
     assert not (out / "effective_config.json").exists()
 
 
+@pytest.mark.parametrize("block, names", [
+    ({"vehicle": {"J_diag": [1, 2]}}, ["'vehicle.J_diag'", "3 entries"]),
+    ({"vehicle": {"x_com": [[0.0, 0.0, 0.0]]}}, ["'vehicle.x_com'", "3 entries"]),
+    ({"singularity": {"phi_0_deg": 90}}, ["'singularity'", "(phi_0_deg)", "phi_0 < phi_d"]),
+    ({"vehicle": {"m": 4.0, "c_f": 0}}, ["'vehicle'", "(m, c_f)", "c_f must be positive"]),
+])
+def test_a_rule_error_names_the_keys_given(tmp_path, capsys, block, names):
+    """The dataclass rules name fields (J_b, phi_0); the config error names
+    the JSON key of a misshaped vector and the keys given in a block that
+    breaks a rule."""
+    cfg = tmp_path / "rule.json"
+    cfg.write_text(json.dumps(block))
+    out = tmp_path / "out"
+    assert cli.main(["envelope", "--config", str(cfg), "--out", str(out), "--n-dirs", "4"]) == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+    assert not (out / "effective_config.json").exists()
+
+
 def test_n_dirs_flag_overrides_the_config_and_the_echo_keeps_the_config(tmp_path):
     cfg = tmp_path / "dirs.json"
     cfg.write_text(json.dumps({"n_dirs": 6}))

@@ -37,8 +37,6 @@ def test_default_singularity_params():
     dict(phi_t=-1.0),
     dict(c_t=0.0),
     dict(omega_u=-1.0),
-    dict(b=np.ones(6)),                 # must alternate
-    dict(b=np.array([-1, 1, -1, 1, -1])),
 ])
 def test_singularity_params_validation(bad):
     with pytest.raises(ValueError):
@@ -138,7 +136,7 @@ def test_array_gains_match_per_arm_scalars_bit_for_bit():
 def test_singular_angles_match_the_per_family_functions_bit_for_bit():
     """One angle_between over the 14 singular lines gives the bits of
     z_misalignment and of arm_alignment(F, i, p) for every arm."""
-    p = VehicleParams(gamma=np.arange(6) * np.pi / 3.0 + 0.1)
+    p = VehicleParams()
     lines = p.singular_lines
     assert lines.shape == (14, 3)
     z = np.array([0.0, 0.0, 1.0])
@@ -162,9 +160,10 @@ def test_singular_angles_match_the_per_family_functions_bit_for_bit():
 
 
 def test_z_misalignment_and_singular_angles_use_stored_norms_bit_for_bit(off_nominal_vehicle):
-    """z_misalignment and singular_angles take their row norms from Z_NORMS
-    and VehicleParams.singular_norms, which are the norms angle_between
-    computes, and give the bytes of the single-vector array formulas."""
+    """z_misalignment and singular_angles take their row norms from
+    VehicleParams.singular_norms (rows 0-1, +z and -z, for z_misalignment),
+    the norms angle_between computes, and give the bytes of the
+    single-vector array formulas."""
     NAN = float("nan")
     rng = np.random.default_rng(11)
     dirs = rng.normal(size=(1500, 3))
@@ -174,7 +173,7 @@ def test_z_misalignment_and_singular_angles_use_stored_norms_bit_for_bit(off_nom
                      [1.0, 1.0, 1.0], [NAN, 0.0, 1.0], [1e150, 0.0, -1e150]])
     for F in np.vstack([dirs, near_z, edge]):
         assert same_bits(z_misalignment(F), array_formulas.z_misalignment(F))
-    for p in (VehicleParams(), off_nominal_vehicle, VehicleParams(gamma=np.arange(6) * np.pi / 3.0 + 0.1)):
+    for p in (VehicleParams(), off_nominal_vehicle):
         assert same_bits(p.singular_norms, np.sqrt(np.vecdot(p.singular_lines, p.singular_lines)))
         for F in np.vstack([dirs, near_z, edge]):
             phi_z, eta = array_formulas.singular_angles(F, p)

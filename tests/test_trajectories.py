@@ -58,7 +58,7 @@ def test_hover_is_constant_identity():
     tr = make_hover(10.0)
     assert tr.duration == 10.0
     for t in (0.0, 3.7, 10.0):
-        sp = tr(t)
+        sp = tr.sampler(t)
         assert_allclose(sp.x_sp, 0.0)
         assert_allclose(sp.v_sp, 0.0)
         assert_allclose(sp.R_sp, np.eye(3))
@@ -69,14 +69,14 @@ def test_translation_goes_out_and_back():
     amp, T = 2.0, 8.0
     tr = make_translation(amp, T)
     assert tr.duration == T
-    assert_allclose(tr(0.0).x_sp, 0.0, atol=1e-15)
-    assert_allclose(tr(T / 2.0).x_sp, [amp, 0.0, 0.0])
-    assert_allclose(tr(T).x_sp, 0.0, atol=1e-12)
+    assert_allclose(tr.sampler(0.0).x_sp, 0.0, atol=1e-15)
+    assert_allclose(tr.sampler(T / 2.0).x_sp, [amp, 0.0, 0.0])
+    assert_allclose(tr.sampler(T).x_sp, 0.0, atol=1e-12)
     # motion is along x only and rest-to-rest
-    assert_allclose(tr(0.0).v_sp, 0.0, atol=1e-15)
-    assert_allclose(tr(T).v_sp, 0.0, atol=1e-12)
+    assert_allclose(tr.sampler(0.0).v_sp, 0.0, atol=1e-15)
+    assert_allclose(tr.sampler(T).v_sp, 0.0, atol=1e-12)
     for t in np.linspace(0.0, T, 33):
-        sp = tr(t)
+        sp = tr.sampler(t)
         assert sp.x_sp[1] == 0.0 and sp.x_sp[2] == 0.0
         assert_allclose(sp.R_sp, np.eye(3))
 
@@ -87,21 +87,21 @@ def test_translation_velocity_consistent_with_position():
     for t in np.linspace(0.1, 7.9, 25):
         if abs(t - 4.0) < 2.0 * h:   # phase switch point
             continue
-        fd = (tr(t + h).x_sp - tr(t - h).x_sp) / (2.0 * h)
-        assert_allclose(tr(t).v_sp, fd, rtol=1e-5, atol=1e-6)
+        fd = (tr.sampler(t + h).x_sp - tr.sampler(t - h).x_sp) / (2.0 * h)
+        assert_allclose(tr.sampler(t).v_sp, fd, rtol=1e-5, atol=1e-6)
 
 
 def test_rotation_endpoints_and_rates():
     axis = np.array([1.0, 0.0, 0.0])
     tr = make_rotation(np.pi / 2.0, axis, 6.0)
-    assert_allclose(tr(0.0).R_sp, np.eye(3))
-    assert_allclose(tr(6.0).R_sp, rotation_from_axis_angle(axis, np.pi / 2.0), atol=1e-12)
-    assert_allclose(tr(0.0).omega_sp, 0.0, atol=1e-15)
-    assert_allclose(tr(6.0).omega_sp, 0.0, atol=1e-12)
+    assert_allclose(tr.sampler(0.0).R_sp, np.eye(3))
+    assert_allclose(tr.sampler(6.0).R_sp, rotation_from_axis_angle(axis, np.pi / 2.0), atol=1e-12)
+    assert_allclose(tr.sampler(0.0).omega_sp, 0.0, atol=1e-15)
+    assert_allclose(tr.sampler(6.0).omega_sp, 0.0, atol=1e-12)
     # position never moves
     for t in np.linspace(0.0, 6.0, 13):
-        assert_allclose(tr(t).x_sp, 0.0)
-        assert is_rotation(tr(t).R_sp)
+        assert_allclose(tr.sampler(t).x_sp, 0.0)
+        assert is_rotation(tr.sampler(t).R_sp)
 
 
 def test_rotation_rate_consistent_with_attitude():
@@ -109,29 +109,29 @@ def test_rotation_rate_consistent_with_attitude():
     tr = make_rotation(1.2, axis, 5.0)
     h = 1e-6
     for t in np.linspace(0.2, 4.8, 20):
-        R = tr(t).R_sp
-        R_dot = (tr(t + h).R_sp - tr(t - h).R_sp) / (2.0 * h)
+        R = tr.sampler(t).R_sp
+        R_dot = (tr.sampler(t + h).R_sp - tr.sampler(t - h).R_sp) / (2.0 * h)
         omega_hat = R.T @ R_dot
         omega = np.array([omega_hat[2, 1], omega_hat[0, 2], omega_hat[1, 0]])
-        assert_allclose(tr(t).omega_sp, omega, rtol=1e-5, atol=1e-7)
+        assert_allclose(tr.sampler(t).omega_sp, omega, rtol=1e-5, atol=1e-7)
 
 
 def test_flip_completes_a_full_turn():
     tr = make_flip(6.0)
-    assert_allclose(tr(6.0).R_sp, np.eye(3), atol=1e-12)
+    assert_allclose(tr.sampler(6.0).R_sp, np.eye(3), atol=1e-12)
     # halfway through, the vehicle is upside down
-    mid = tr(3.0).R_sp
+    mid = tr.sampler(3.0).R_sp
     assert_allclose(mid @ np.array([0.0, 0.0, 1.0]), [0.0, 0.0, -1.0], atol=1e-12)
     # rotation axis is body y throughout
-    assert abs(tr(2.0).omega_sp[1]) > 0.0
-    assert_allclose(tr(2.0).omega_sp[[0, 2]], 0.0, atol=1e-15)
+    assert abs(tr.sampler(2.0).omega_sp[1]) > 0.0
+    assert_allclose(tr.sampler(2.0).omega_sp[[0, 2]], 0.0, atol=1e-15)
 
 
 def test_singular_translation_points_arm_at_gravity():
     p = VehicleParams()
     tr = make_singular_translation(p, 1.0, 4.0, 6.0)
     assert tr.duration == 10.0
-    R_hold = tr(4.0).R_sp
+    R_hold = tr.sampler(4.0).R_sp
     # the hover force (body +z in world) lies along arm 0's line afterwards:
     # world -z maps into the body frame onto the arm axis
     arm0 = np.array([np.cos(p.gamma[0]), np.sin(p.gamma[0]), 0.0])
@@ -139,23 +139,23 @@ def test_singular_translation_points_arm_at_gravity():
     assert_allclose(np.abs(np.dot(body_gravity_dir, arm0)), 1.0, atol=1e-12)
     # attitude holds through the translation phase
     for t in (5.0, 7.0, 10.0):
-        assert_allclose(tr(t).R_sp, R_hold, atol=1e-12)
-    assert_allclose(tr(10.0).x_sp, [1.0, 0.0, 0.0], atol=1e-12)
-    assert_allclose(tr(0.0).x_sp, 0.0)
+        assert_allclose(tr.sampler(t).R_sp, R_hold, atol=1e-12)
+    assert_allclose(tr.sampler(10.0).x_sp, [1.0, 0.0, 0.0], atol=1e-12)
+    assert_allclose(tr.sampler(0.0).x_sp, 0.0)
 
 
 def test_cartwheel_sweeps_the_arm_plane():
     p = VehicleParams()
     tr = make_cartwheel(12.0, 4.0)
     assert tr.duration == 16.0
-    R1 = tr(4.0).R_sp
+    R1 = tr.sampler(4.0).R_sp
     assert_allclose(R1, rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 2.0),
                     atol=1e-12)
     # after the reorientation the body-frame gravity direction stays in the
     # arm plane (z component zero) while its azimuth advances by 2 pi
     seen = []
     for t in np.linspace(4.0, 16.0, 400):
-        d = tr(t).R_sp.T @ np.array([0.0, 0.0, -1.0])
+        d = tr.sampler(t).R_sp.T @ np.array([0.0, 0.0, -1.0])
         assert abs(d[2]) < 1e-12
         seen.append(np.arctan2(d[1], d[0]))
     unwrapped = np.unwrap(seen)
@@ -170,8 +170,8 @@ def test_samplers_clamp_beyond_duration():
     p = VehicleParams()
     for tr in (make_translation(), make_rotation(), make_flip(),
                make_singular_translation(p), make_cartwheel()):
-        end = tr(tr.duration)
-        late = tr(tr.duration + 5.0)
+        end = tr.sampler(tr.duration)
+        late = tr.sampler(tr.duration + 5.0)
         assert_allclose(late.x_sp, end.x_sp)
         assert_allclose(late.R_sp, end.R_sp)
         assert is_rotation(late.R_sp)

@@ -50,9 +50,6 @@ def test_default_params_values():
     dict(J_b=np.ones((3, 3))),
     dict(c_f=0.0),
     dict(Omega_max=-5.0),
-    dict(s=np.ones(12)),            # lower rotors must counter-rotate
-    dict(s=np.full(12, 2.0)),       # entries must be +/-1
-    dict(gamma=np.zeros(6)),        # all arms on one line: A is rank deficient
 ])
 def test_params_validation_rejects(bad):
     with pytest.raises(ValueError):
@@ -154,6 +151,35 @@ def test_params_are_frozen_and_replace_rederives():
     assert not np.array_equal(shorter.A, p.A)
 
 
+def test_fixed_geometry_is_shared_and_read_only():
+    """The arm azimuths, the spins, the arm axes, the singular lines and
+    their norms, and the bias pattern are module constants: writing into
+    them raises, so no vehicle can change another's geometry, and the
+    constructors take only the physical parameters."""
+    p, q, sp = VehicleParams(), VehicleParams(l_x=0.25), SingularityParams()
+    shared = {"gamma": vehicle.GAMMA, "s": vehicle.SPIN, "arm_axes": vehicle.ARM_AXES,
+              "singular_lines": vehicle.SINGULAR_LINES, "singular_norms": vehicle.SINGULAR_NORMS}
+    before = {name: getattr(q, name).copy() for name in shared}
+    for name, constant in shared.items():
+        assert getattr(p, name) is constant and getattr(q, name) is constant
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, name)[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(p, name)[...] *= 2.0
+        assert same_bits(getattr(q, name), before[name])
+    bias = sp.b.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        sp.b[0] = 1.0
+    assert same_bits(SingularityParams().b, bias) and same_bits(bias, [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
+    assert [f.name for f in dataclasses.fields(VehicleParams) if f.init] == [
+        "m", "J_b", "x_com", "l_x", "c_f", "c_d", "Omega_max", "alpha_dot_max", "g_mag"]
+    assert [f.name for f in dataclasses.fields(SingularityParams)] == ["phi_0", "phi_d", "phi_t", "c_t", "omega_u"]
+    with pytest.raises(TypeError):
+        VehicleParams(gamma=np.zeros(6))
+    with pytest.raises(TypeError):
+        SingularityParams(b=np.ones(6))
+
+
 def test_rotor_columns_against_vector_oracle():
     """Rebuild each column from thrust direction and moment arms directly.
 
@@ -202,10 +228,8 @@ def test_allocation_geometry_is_built_once(monkeypatch):
 
     rng = np.random.default_rng(21)
     for _ in range(20):
-        s_upper = rng.choice([-1.0, 1.0], 6)
         q = VehicleParams(l_x=rng.uniform(0.1, 0.5), c_f=rng.uniform(5e-6, 2e-5),
-                          c_d=rng.uniform(0.005, 0.03), gamma=rng.uniform(-np.pi, np.pi, 6),
-                          s=np.concatenate([s_upper, -s_upper]))
+                          c_d=rng.uniform(0.005, 0.03))
         sin_cols, cos_cols = columns(q)
         assert np.array_equal(q.sin_cols, sin_cols) and np.array_equal(q.cos_cols, cos_cols)
         # Arm i owns columns 4i..4i+3: sin upper, cos upper, sin lower, cos lower.

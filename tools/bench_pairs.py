@@ -1,20 +1,25 @@
-"""Alternating before/after benchmark pairs of two omnidyn checkouts.
+"""Alternating before/after benchmark pairs of two omnidyn revisions.
 
-    python tools/bench_pairs.py PARENT CHANGE --workload cartwheel --pairs 10 \
+    python tools/bench_pairs.py HEAD~1 HEAD --workload cartwheel --pairs 10 \
         --seconds 40 --seeds 41-50 --out BENCH_14.json
 
-PARENT and CHANGE are the roots of two checkouts. For each seed in turn the
-script runs `perfbench/run.py --workload W --seed SEED --seconds S --trace 0`
-once in each checkout, one after the other, and swaps which checkout runs
-first from one pair to the next, so that a drift of the host's speed falls
-on both sides alike. Each run is a fresh interpreter started from the
+PARENT and CHANGE are git revisions of the repository this script sits in
+(a commit, branch or tag; uncommitted changes are not included). Each is
+extracted with `git archive` into a temporary directory that is removed at
+exit, so both sides are the same kind of checkout: a copy of the working
+tree beside an archive once read a cartwheel setup_s ratio of 1.2 on
+unchanged code. For each seed in turn the script runs
+`perfbench/run.py --workload W --seed SEED --seconds S --trace 0` once in
+each checkout, one after the other, and swaps which checkout runs first
+from one pair to the next, so that a drift of the host's speed falls on
+both sides alike. Each run is a fresh interpreter started from the
 checkout's root, so it imports that checkout's `src/`.
 
 After each pair it prints the ratio change / parent of every end-to-end
 metric the run reports (the metrics the benchmark gates), so that a swing
 of setup_s or peak_rss_mb shows while the pairs run.
 
-The output file gets, per pair, each side's end-to-end metrics and operation
+The output file gets the commit of each side and, per pair, each side's end-to-end metrics and operation
 counts, the ratio change / parent of every metric, and whether the two
 runs printed the same output fingerprint; and per metric, each side's
 median and quartiles, the median ratio and the number of pairs in which the
@@ -32,21 +37,37 @@ then spread too widely for that bound to tell a change from noise.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
-BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def end_to_end_bounds():
     """{metric: relative bound} of the benchmark's end-to-end metrics."""
     with open(BENCHMARK) as fh:
         return {metric["name"]: metric["bound"] for metric in json.load(fh)["end_to_end"]}
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def extract(revision, into):
+    """Extract revision with git archive into the new directory into; return its commit."""
+    commit = git("rev-parse", "--verify", f"{revision}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as archive:
+        archive.extractall(into, filter="data")
+    return commit
 
 
 def parse_seeds(text):
@@ -109,8 +130,8 @@ def print_summary(workload, summary):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="root of the parent checkout")
-    parser.add_argument("change", help="root of the changed checkout")
+    parser.add_argument("parent", help="git revision of the parent")
+    parser.add_argument("change", help="git revision of the change")
     parser.add_argument("--workload", required=True, choices=("cartwheel", "sweeps", "scatter"))
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -119,13 +140,21 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if len(args.seeds) < args.pairs:
         parser.error(f"--seeds gives {len(args.seeds)} seeds for {args.pairs} pairs")
-    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     bounds = end_to_end_bounds()
-
     report = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             report = json.load(fh)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
+        roots = {side: os.path.join(tmp, side) for side in SIDES}
+        commits = {side: extract(getattr(args, side), roots[side]) for side in SIDES}
+        run_pairs(args, roots, commits, bounds, report)
+    print_summary(args.workload, report["pairs"][args.workload]["summary"])
+    return 0
+
+
+def run_pairs(args, roots, commits, bounds, report):
+    """Run the series, writing the output file after every pair."""
     pairs = []
     for k, seed in enumerate(args.seeds[:args.pairs]):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -148,14 +177,13 @@ def main(argv=None):
         # Written after every pair, so an interrupted series keeps its pairs.
         report.setdefault("pairs", {})[args.workload] = {
             "command": f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
+            "commits": commits,
             "pairs": pairs,
             "summary": summarize(pairs, bounds),
         }
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
-    print_summary(args.workload, report["pairs"][args.workload]["summary"])
-    return 0
 
 
 if __name__ == "__main__":
