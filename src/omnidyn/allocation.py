@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# allocate wraps its tilt steps on floats; wrap_angle stays bound here because
-# perfbench/tracer.py looks it up in this module.
-from .mathcore import wrap_angle  # noqa: F401
+from .mathcore import wrap_angle
 from .singularity import (
     SingularityParams,
     apply_damping_and_unwind,
@@ -46,7 +44,6 @@ from .vehicle import ALLOCATION_HEADROOM, VehicleParams, build_A_alpha, rotor_co
 # Pair magnitudes below this fraction of the largest arm's are treated as
 # zero in the tilt-angle extraction (the angle is no longer informative).
 DEGENERATE_REL_TOL = 1e-9
-TWO_PI = 2.0 * math.pi
 # VehicleParams keeps A^+ w of a wrench with entries up to max(m g, 1) >= 1
 # ALLOCATION_HEADROOM below the largest float, so entries below a tenth of
 # the headroom overflow neither A^+ w nor |F|^2, and solve_and_gate skips
@@ -175,11 +172,7 @@ class Allocator:
         u, F_dir = solve_and_gate(w_des, params, sp)
         prev = alpha_prev.tolist()
         alpha_des = extract_tilt_angles(u, prev)
-        # wrap_angle(alpha_des - alpha_prev), on floats.
-        delta = []
-        for a, p in zip(alpha_des.tolist(), prev):
-            d = (a - p + math.pi) % TWO_PI - math.pi
-            delta.append(math.pi if d == -math.pi else d)
+        delta = [wrap_angle(a - p) for a, p in zip(alpha_des.tolist(), prev)]
 
         k_t = 0.0
         k_alpha = [0.0] * 6

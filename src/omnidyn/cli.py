@@ -6,8 +6,8 @@ Commands:
   condmap     condition-number map of the allocation matrix
   efficiency  hover efficiency sweep
 
-Exit codes: 0 success, 1 usage error, 2 configuration error,
-3 numerical failure (a diverged simulate run, or one whose tracking
+Exit codes: 0 success, 1 usage error, 2 configuration error or unwritable
+--out, 3 numerical failure (a diverged simulate run, or one whose tracking
 summary is not finite, still writes its log). All outputs are
 deterministic: re-running a command reproduces byte-identical files.
 """
@@ -161,9 +161,6 @@ def main(argv=None) -> int:
     if getattr(args, "n_dirs", None) is None:
         args.n_dirs = cfg.n_dirs
 
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-
     handlers = {
         "simulate": _cmd_simulate,
         "envelope": _cmd_envelope,
@@ -171,16 +168,20 @@ def main(argv=None) -> int:
         "efficiency": _cmd_efficiency,
     }
     try:
-        status = handlers[args.command](args, cfg, out_dir)
+        os.makedirs(args.out, exist_ok=True)
+        status = handlers[args.command](args, cfg, args.out)
+        if status == 0:
+            _write_json(os.path.join(args.out, "effective_config.json"), cfg.effective_dict())
     except ConfigError as exc:
         # simulate refuses a run whose log would be too long before its first tick.
         print(f"omnidyn: config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"omnidyn: cannot write output: {exc}", file=sys.stderr)
+        return 2
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"omnidyn: numerical failure: {exc}", file=sys.stderr)
         return 3
-    if status == 0:
-        _write_json(os.path.join(out_dir, "effective_config.json"), cfg.effective_dict())
     return status
 
 

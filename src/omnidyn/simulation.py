@@ -3,7 +3,8 @@
 Each control tick evaluates the controller and the allocation pipeline,
 holds the resulting actuator commands (zero-order hold), and advances
 the plant through an integer number of physics steps. The run is fully
-deterministic: no randomness, no wall-clock dependence.
+deterministic: no randomness, no wall-clock dependence. Each tick logs one
+row of LOG_FIELDS, resolved once at import into LOG_COLUMNS and LOG_HEADER.
 """
 
 from __future__ import annotations
@@ -80,6 +81,19 @@ LOG_FIELDS = (
 )
 
 
+def _resolve_log_layout():
+    """LOG_FIELDS as ({name: column index, or slice for width > 1}, CSV header)."""
+    columns, header, offset = {}, [], 0
+    for name, width in LOG_FIELDS:
+        columns[name] = offset if width == 1 else slice(offset, offset + width)
+        header.extend([name] if width == 1 else [f"{name}{k}" for k in range(width)])
+        offset += width
+    return columns, tuple(header)
+
+
+LOG_COLUMNS, LOG_HEADER = _resolve_log_layout()
+
+
 def write_csv(path, header, rows):
     """Header line, then one line per row of shortest round-trip floats.
 
@@ -97,13 +111,7 @@ def write_csv(path, header, rows):
 
 
 def log_column_names():
-    names = []
-    for name, width in LOG_FIELDS:
-        if width == 1:
-            names.append(name)
-        else:
-            names.extend(f"{name}{k}" for k in range(width))
-    return names
+    return list(LOG_HEADER)
 
 
 @dataclass
@@ -114,17 +122,11 @@ class SimLog:
     dt_control: float
 
     def column(self, name):
-        """All rows of one named field, squeezed to 1-D for scalar fields."""
-        offset = 0
-        for fname, width in LOG_FIELDS:
-            if fname == name:
-                block = self.data[:, offset:offset + width]
-                return block[:, 0] if width == 1 else block
-            offset += width
-        raise KeyError(name)
+        """All rows of one named field, 1-D for scalar fields."""
+        return self.data[:, LOG_COLUMNS[name]]
 
     def to_csv(self, path):
-        write_csv(path, log_column_names(), self.data)
+        write_csv(path, LOG_HEADER, self.data)
 
 
 class SimulationDiverged(RuntimeError):
@@ -168,8 +170,7 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
                                R=sp0.R_sp.copy(), omega_b=sp0.omega_sp.copy())
     alpha = np.zeros(6)
 
-    n_cols = sum(w for _, w in LOG_FIELDS)
-    rows = np.empty((n_ticks + 1, n_cols))
+    rows = np.empty((n_ticks + 1, len(LOG_HEADER)))
 
     def diverged(exc, n_rows):
         partial = SimLog(data=rows[:n_rows].copy(), dt_control=config.dt_control)

@@ -2,8 +2,10 @@
 
 All trajectories are rest-to-rest and built from a quintic blend, so
 position, velocity, and acceleration references are continuous and
-mutually consistent. Samplers return a TrajectorySetpoint for any time;
-times outside [0, duration] clamp to the endpoints.
+mutually consistent. Every rotation phase (rotation, flip, the reorient
+of singular-translation, both phases of cartwheel) is one rotation_phase.
+Samplers return a TrajectorySetpoint for any time; times outside
+[0, duration] clamp to the endpoints.
 """
 
 from __future__ import annotations
@@ -69,18 +71,26 @@ def make_translation(amplitude=2.0, period=8.0) -> Trajectory:
     return Trajectory(duration=period, sampler=sampler)
 
 
-def make_rotation(angle=np.pi / 2.0, axis=(1.0, 0.0, 0.0), period=6.0) -> Trajectory:
-    """Rotation in place about a fixed axis, rest to rest."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
+def rotation_phase(axis, angle, T, start=None):
+    """Sampler of a rest-to-rest rotation by angle (rad) about a unit axis in T s.
+
+    R_sp = start @ axis_rotation(axis)(angle * s), or the rotation alone without
+    start, and omega_sp = axis * angle * s_dot, with s the quintic blend. From
+    t = T on, s is exactly 1.0, so the phase holds the rotation by angle."""
     rotation = axis_rotation(axis)
 
     def sampler(t):
-        s, sd, _ = quintic_blend(t, period)
-        return TrajectorySetpoint(R_sp=rotation(angle * s),
-                                  omega_sp=axis * angle * sd)
+        s, sd, _ = quintic_blend(t, T)
+        R = rotation(angle * s)
+        return TrajectorySetpoint(R_sp=R if start is None else start @ R, omega_sp=axis * angle * sd)
 
-    return Trajectory(duration=period, sampler=sampler)
+    return sampler
+
+
+def make_rotation(angle=np.pi / 2.0, axis=(1.0, 0.0, 0.0), period=6.0) -> Trajectory:
+    """Rotation in place about a fixed axis, rest to rest."""
+    axis = np.asarray(axis, dtype=float)
+    return Trajectory(duration=period, sampler=rotation_phase(axis / np.linalg.norm(axis), angle, period))
 
 
 def make_flip(period=6.0) -> Trajectory:
@@ -97,15 +107,12 @@ def make_singular_translation(params: VehicleParams, amplitude=1.0,
     for the rest of the run. Phase 2 translates along inertial x.
     """
     g0 = params.gamma[0]
-    tilt_axis = np.array([-np.sin(g0), np.cos(g0), 0.0])
-    tilt = axis_rotation(tilt_axis)
-    R_hold = tilt(np.pi / 2.0)
+    tilt = rotation_phase(np.array([-np.sin(g0), np.cos(g0), 0.0]), np.pi / 2.0, reorient)
+    R_hold = tilt(reorient).R_sp
 
     def sampler(t):
         if t <= reorient:
-            s, sd, _ = quintic_blend(t, reorient)
-            return TrajectorySetpoint(R_sp=tilt(np.pi / 2.0 * s),
-                                      omega_sp=tilt_axis * (np.pi / 2.0) * sd)
+            return tilt(t)
         s, sd, sdd = quintic_blend(t - reorient, period)
         return TrajectorySetpoint(x_sp=np.array([amplitude * s, 0.0, 0.0]),
                                   v_sp=np.array([amplitude * sd, 0.0, 0.0]),
@@ -121,19 +128,10 @@ def make_cartwheel(period=12.0, reorient=4.0) -> Trajectory:
     During the rotation the hover force direction sweeps the full body
     z-plane, crossing each of the six arm azimuths once.
     """
-    pitch_axis = np.array([0.0, 1.0, 0.0])
-    pitch = axis_rotation(pitch_axis)
-    R1 = pitch(np.pi / 2.0)
-    z_body = np.array([0.0, 0.0, 1.0])
-    yaw = axis_rotation(z_body)
+    pitch = rotation_phase(np.array([0.0, 1.0, 0.0]), np.pi / 2.0, reorient)
+    yaw = rotation_phase(np.array([0.0, 0.0, 1.0]), 2.0 * np.pi, period, start=pitch(reorient).R_sp)
 
     def sampler(t):
-        if t <= reorient:
-            s, sd, _ = quintic_blend(t, reorient)
-            return TrajectorySetpoint(R_sp=pitch(np.pi / 2.0 * s),
-                                      omega_sp=pitch_axis * (np.pi / 2.0) * sd)
-        s, sd, _ = quintic_blend(t - reorient, period)
-        return TrajectorySetpoint(R_sp=R1 @ yaw(2.0 * np.pi * s),
-                                  omega_sp=z_body * 2.0 * np.pi * sd)
+        return pitch(t) if t <= reorient else yaw(t - reorient)
 
     return Trajectory(duration=reorient + period, sampler=sampler)

@@ -45,7 +45,7 @@ SPIN = np.concatenate([np.ones(6), -np.ones(6)])
 ARM_AXES = np.stack([np.cos(GAMMA), np.sin(GAMMA), np.zeros(6)], axis=-1)
 SINGULAR_LINES = np.vstack([Z_AXIS, -Z_AXIS, ARM_AXES, -ARM_AXES])
 SINGULAR_NORMS = np.sqrt(np.vecdot(SINGULAR_LINES, SINGULAR_LINES))
-for _constant in (Z_AXIS, GAMMA, SPIN, ARM_AXES, SINGULAR_LINES, SINGULAR_NORMS):
+for _constant in (ARM, Z_AXIS, GAMMA, SPIN, ARM_AXES, SINGULAR_LINES, SINGULAR_NORMS):
     _constant.flags.writeable = False
 
 # Factor by which A^+ w for the weight (or a unit wrench, whichever is larger)

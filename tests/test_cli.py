@@ -385,6 +385,19 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_an_out_that_cannot_be_a_directory_is_an_output_error(tmp_path, under):
+    """--out naming an existing file, or a path under one, exits 2 with one
+    line instead of a FileExistsError or NotADirectoryError traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = run_cli("envelope", "--n-dirs", 4, "--out", taken / under)
+    assert out.returncode == 2
+    assert out.stderr.startswith("omnidyn: cannot write output: ")
+    assert "Traceback" not in out.stderr
+    assert taken.read_text() == ""
+
+
 def test_envelope_outputs(tmp_path):
     out = run_cli("envelope", "--n-dirs", 40, "--out", tmp_path)
     assert out.returncode == 0

@@ -2,6 +2,7 @@
 
 import array_formulas
 import numpy as np
+import pytest
 from array_formulas import same_bits
 from numpy.testing import assert_allclose
 
@@ -104,16 +105,24 @@ def test_rotation_endpoints_and_rates():
         assert is_rotation(tr.sampler(t).R_sp)
 
 
-def test_rotation_rate_consistent_with_attitude():
-    axis = np.array([0.0, 1.0, 0.0])
-    tr = make_rotation(1.2, axis, 5.0)
+@pytest.mark.parametrize("make, phases", [
+    (lambda: make_rotation(1.2, np.array([0.0, 1.0, 0.0]), 5.0), [(0.0, 5.0)]),
+    (lambda: make_flip(6.0), [(0.0, 6.0)]),
+    (lambda: make_singular_translation(VehicleParams(), 1.0, 4.0, 6.0), [(0.0, 4.0), (4.0, 10.0)]),
+    (lambda: make_cartwheel(12.0, 4.0), [(0.0, 4.0), (4.0, 16.0)]),
+], ids=["rotation", "flip", "singular-translation", "cartwheel"])
+def test_rotation_rate_consistent_with_attitude(make, phases):
+    """omega_sp is the body rate R^T R_dot of R_sp, with R_dot from central
+    differences, at times inside every phase of each trajectory that turns."""
+    tr = make()
     h = 1e-6
-    for t in np.linspace(0.2, 4.8, 20):
-        R = tr.sampler(t).R_sp
-        R_dot = (tr.sampler(t + h).R_sp - tr.sampler(t - h).R_sp) / (2.0 * h)
-        omega_hat = R.T @ R_dot
-        omega = np.array([omega_hat[2, 1], omega_hat[0, 2], omega_hat[1, 0]])
-        assert_allclose(tr.sampler(t).omega_sp, omega, rtol=1e-5, atol=1e-7)
+    for start, end in phases:
+        for t in np.linspace(start + 0.2, end - 0.2, 20):
+            R = tr.sampler(t).R_sp
+            R_dot = (tr.sampler(t + h).R_sp - tr.sampler(t - h).R_sp) / (2.0 * h)
+            omega_hat = R.T @ R_dot
+            omega = np.array([omega_hat[2, 1], omega_hat[0, 2], omega_hat[1, 0]])
+            assert_allclose(tr.sampler(t).omega_sp, omega, rtol=1e-5, atol=1e-7)
 
 
 def test_flip_completes_a_full_turn():

@@ -152,10 +152,10 @@ def test_params_are_frozen_and_replace_rederives():
 
 
 def test_fixed_geometry_is_shared_and_read_only():
-    """The arm azimuths, the spins, the arm axes, the singular lines and
-    their norms, and the bias pattern are module constants: writing into
-    them raises, so no vehicle can change another's geometry, and the
-    constructors take only the physical parameters."""
+    """The rotor-to-arm map, the arm azimuths, the spins, the arm axes, the
+    singular lines and their norms, and the bias pattern are module
+    constants: writing into them raises, so no vehicle can change another's
+    geometry, and the constructors take only the physical parameters."""
     p, q, sp = VehicleParams(), VehicleParams(l_x=0.25), SingularityParams()
     shared = {"gamma": vehicle.GAMMA, "s": vehicle.SPIN, "arm_axes": vehicle.ARM_AXES,
               "singular_lines": vehicle.SINGULAR_LINES, "singular_norms": vehicle.SINGULAR_NORMS}
@@ -167,6 +167,11 @@ def test_fixed_geometry_is_shared_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             getattr(p, name)[...] *= 2.0
         assert same_bits(getattr(q, name), before[name])
+    with pytest.raises(ValueError, match="read-only"):
+        vehicle.ARM[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        vehicle.ARM[...] += 1
+    assert vehicle.ARM.tolist() == [0, 1, 2, 3, 4, 5] * 2
     bias = sp.b.copy()
     with pytest.raises(ValueError, match="read-only"):
         sp.b[0] = 1.0
