@@ -42,7 +42,6 @@ from .trajectories import (
 from .vehicle import (
     RigidBodyState,
     VehicleParams,
-    Wrench,
     integrate_step,
     rotor_columns,
 )

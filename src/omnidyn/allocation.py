@@ -22,7 +22,7 @@ warnings, so the rule, not a warning, reports such a wrench.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,9 +145,9 @@ class ActuatorCommand:
 
     alpha_cmd: np.ndarray
     Omega_cmd: np.ndarray
-    alpha_des: np.ndarray = field(default=None)
-    k_t: float = 0.0
-    k_alpha: np.ndarray = field(default_factory=lambda: np.zeros(6))
+    alpha_des: np.ndarray
+    k_t: float
+    k_alpha: np.ndarray
 
 
 class Allocator:

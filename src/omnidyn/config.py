@@ -40,14 +40,15 @@ ASSUMED_SOURCES = {
 
 
 def _three(values):
-    array = np.asarray(values, dtype=float)
-    if array.shape != (3,):
-        raise ValueError(f"needs 3 entries, got an array of shape {array.shape}")
-    return array
+    shape = np.shape(values)
+    if shape != (3,):
+        raise ValueError(f"needs 3 entries, got an array of shape {shape}")
+    return np.array([as_float(value, f"entry {k}") for k, value in enumerate(values)])
 
 
 # (load, echo) conversions between a JSON value and a dataclass field.
-# A scalar is a JSON number: as_float refuses strings and booleans.
+# A scalar, and each entry of a vector, is a JSON number: as_float refuses
+# strings and booleans.
 SCALAR = (as_float, float)
 VECTOR = (_three, list)
 DIAGONAL = (lambda d: np.diag(_three(d)), lambda J: list(np.diag(J)))

@@ -1,11 +1,12 @@
 """Geometric trajectory-tracking controller on SE(3).
 
-Position and attitude errors are mapped to a desired body wrench with
-proportional-derivative feedback, gravity compensation, gyroscopic
-feedforward, and a center-of-mass counter-torque. The controller is
-stateless: each tick is a pure function of state, setpoint, and gains.
-It runs on Python floats and does not guard against overflow: a wrench
-that is not finite is caught by the allocation's finiteness rule.
+Position and attitude errors are mapped to a desired body wrench, one
+float64 6-vector [F; tau], with proportional-derivative feedback, gravity
+compensation, gyroscopic feedforward, and a center-of-mass counter-torque.
+The controller is stateless: each tick is a pure function of state,
+setpoint, and gains. It runs on Python floats and does not guard against
+overflow: a wrench that is not finite is caught by the allocation's
+finiteness rule.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 # compute_errors takes the entries of vee on floats; vee stays bound here
 # because perfbench/tracer.py looks it up in this module.
 from .mathcore import vee  # noqa: F401
-from .vehicle import RigidBodyState, VehicleParams, Wrench, store_floats
+from .vehicle import RigidBodyState, VehicleParams, store_floats
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,8 @@ def _cross(a0, a1, a2, b0, b1, b2):
 
 def control_wrench(errors: ControlErrors, state: RigidBodyState,
                    sp: TrajectorySetpoint, gains: Gains,
-                   params: VehicleParams) -> Wrench:
-    """Desired body-frame thrust wrench for the current errors.
+                   params: VehicleParams) -> np.ndarray:
+    """Desired body-frame thrust wrench [F; tau], shape (6,), for the current errors.
 
     The force command compensates gravity and transports the inertial
     acceleration demand into the body frame; the torque command adds the
@@ -122,7 +123,7 @@ def control_wrench(errors: ControlErrors, state: RigidBodyState,
     w0, w1, w2 = state.omega_b.tolist()
     c0, c1, c2 = _cross(w0, w1, w2, *(R_t @ state.v).tolist())
     m = params.m
-    F = (m * (a0 + c0), m * (a1 + c1), m * (a2 + c2))
+    F0, F1, F2 = m * (a0 + c0), m * (a1 + c1), m * (a2 + c2)
 
     r0, r1, r2 = errors.e_R.tolist()
     o0, o1, o2 = errors.e_omega.tolist()
@@ -130,5 +131,5 @@ def control_wrench(errors: ControlErrors, state: RigidBodyState,
                                          -k_R * r2 - k_omega * o2))).tolist()
     J0, J1, J2 = params.J_b.diagonal().tolist()
     g0, g1, g2 = _cross(w0, w1, w2, J0 * w0, J1 * w1, J2 * w2)
-    x0, x1, x2 = _cross(*params.x_com.tolist(), *F)
-    return Wrench(F=np.array(F), tau=np.array((t0 + g0 + x0, t1 + g1 + x1, t2 + g2 + x2)))
+    x0, x1, x2 = _cross(*params.x_com.tolist(), F0, F1, F2)
+    return np.array((F0, F1, F2, t0 + g0 + x0, t1 + g1 + x1, t2 + g2 + x2))

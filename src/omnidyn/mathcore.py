@@ -12,6 +12,8 @@ import numpy as np
 
 SKEW_TOL = 1e-9
 ORTHO_TOL = 1e-9
+PI = math.pi
+TWO_PI = 2.0 * math.pi
 
 
 def hat(v):
@@ -86,12 +88,16 @@ def row_angles(a, rows, row_norms):
 
 
 def wrap_angle(theta):
-    """Wrap an angle to (-pi, pi]."""
-    w = (theta + np.pi) % (2.0 * np.pi) - np.pi
-    if np.isscalar(theta):
-        return np.pi if w == -np.pi else float(w)
+    """Wrap an angle to (-pi, pi].
+
+    A scalar gives a Python float, an array an ndarray, with the same bits
+    per entry. A Python float, the allocation's case, is tested for first.
+    """
+    w = (theta + PI) % TWO_PI - PI
+    if type(theta) is float or np.isscalar(theta):
+        return PI if w == -PI else float(w)
     w = np.asarray(w)
-    w[w == -np.pi] = np.pi
+    w[w == -PI] = PI
     return w
 
 

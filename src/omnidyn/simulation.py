@@ -2,9 +2,12 @@
 
 Each control tick evaluates the controller and the allocation pipeline,
 holds the resulting actuator commands (zero-order hold), and advances
-the plant through an integer number of physics steps. The run is fully
-deterministic: no randomness, no wall-clock dependence. Each tick logs one
-row of LOG_FIELDS, resolved once at import into LOG_COLUMNS and LOG_HEADER.
+the plant through an integer number of physics steps. The wrench is one
+float64 6-vector [F; tau] throughout: the controller's command goes to the
+allocation and the log as it is, and the plant gets A(alpha) Omega. The
+run is fully deterministic: no randomness, no wall-clock dependence. Each
+tick logs one row of LOG_FIELDS, resolved once at import into LOG_COLUMNS
+and LOG_HEADER.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .controller import Gains, compute_errors, control_wrench
 from .mathcore import rotation_to_quat, wrap_angle
 from .singularity import SingularityParams
 from .trajectories import Trajectory
-from .vehicle import RigidBodyState, VehicleParams, Wrench, integrate_step, store_floats
+from .vehicle import RigidBodyState, VehicleParams, integrate_step, store_floats
 
 
 # Smallest accepted time step, s. Far below any control or physics rate;
@@ -110,10 +113,6 @@ def write_csv(path, header, rows):
             fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
 
 
-def log_column_names():
-    return list(LOG_HEADER)
-
-
 @dataclass
 class SimLog:
     """Row-per-control-tick time series of a simulation run."""
@@ -152,10 +151,12 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
     """
     config = config or SimConfig()
     duration = config.duration if config.duration is not None else trajectory.duration
-    n_ticks = int(round(duration / config.dt_control))
+    ticks = duration / config.dt_control
+    # Capped before round, which raises OverflowError on a tick count of inf.
+    n_ticks = round(min(ticks, MAX_LOG_ROWS))
     if n_ticks + 1 > MAX_LOG_ROWS:
         raise ConfigError(f"a run of {duration:g} s at dt_control {config.dt_control:g} s logs "
-                          f"{n_ticks + 1} rows, more than the {MAX_LOG_ROWS} allowed")
+                          f"{ticks + 1:.0f} rows, more than the {MAX_LOG_ROWS} allowed")
     if not math.isfinite(params.alpha_dot_max * config.dt_control):
         raise ConfigError(f"the tilt step limit alpha_dot_max * dt_control overflows "
                           f"({params.alpha_dot_max:g} rad/s at {config.dt_control:g} s)")
@@ -182,7 +183,7 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
         errors = compute_errors(state, sp)
         wrench_des = control_wrench(errors, state, sp, gains, params)
         try:
-            cmd = allocator.allocate(wrench_des.as_vector(), alpha, config.dt_control)
+            cmd = allocator.allocate(wrench_des, alpha, config.dt_control)
         except FloatingPointError as exc:
             raise diverged(exc, k) from exc
         alpha = cmd.alpha_cmd
@@ -202,16 +203,14 @@ def simulate(trajectory: Trajectory, params: VehicleParams, gains: Gains,
             *sp.x_sp.tolist(), *sp.v_sp.tolist(), *rotation_to_quat(sp.R_sp).tolist(),
             *sp.omega_sp.tolist(),
             *errors.e_p.tolist(), *errors.e_v.tolist(), *errors.e_R.tolist(), *errors.e_omega.tolist(),
-            *wrench_des.F.tolist(), *wrench_des.tau.tolist(),
-            *cmd.alpha_cmd.tolist(), *cmd.Omega_cmd.tolist(),
+            *wrench_des.tolist(), *cmd.alpha_cmd.tolist(), *cmd.Omega_cmd.tolist(),
             eta_f, cmd.k_t, *cmd.k_alpha.tolist(),
         ]
 
         if k == n_ticks:
             break
-        plant_wrench = Wrench(F=F, tau=realized[3:])
         try:
-            state = integrate_step(state, plant_wrench, config.dt_physics, params, steps_per_tick)
+            state = integrate_step(state, realized, config.dt_physics, params, steps_per_tick)
         except RuntimeError as exc:
             raise diverged(exc, k + 1) from exc
 

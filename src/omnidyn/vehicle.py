@@ -15,6 +15,9 @@ normal floats (non-finite or subnormal parameters, overflowing matrices,
 a hover thrust that underflows) and every vehicle whose full thrust
 cannot carry its weight; integrate_step raises RuntimeError on a state
 that stops being finite.
+
+A body wrench is one float64 6-vector [F; tau] (N, N m), the layout of
+the rows of the allocation matrices: integrate_step takes it in that form.
 """
 
 from __future__ import annotations
@@ -213,21 +216,6 @@ class RigidBodyState:
             raise ValueError("state contains non-finite values")
 
 
-@dataclass
-class Wrench:
-    """Body-frame force (N) and torque (N m)."""
-
-    F: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    tau: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.F = np.asarray(self.F, dtype=float)
-        self.tau = np.asarray(self.tau, dtype=float)
-
-    def as_vector(self):
-        return np.concatenate([self.F, self.tau])
-
-
 def rotor_columns(params: VehicleParams):
     """Per-rotor wrench columns for unit sin/cos thrust components.
 
@@ -275,7 +263,7 @@ def _exp_coefficients(t0, t1, t2):
     return math.sin(n) / n, 0.5 * s * s
 
 
-def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehicleParams,
+def integrate_step(state: RigidBodyState, wrench: np.ndarray, dt, params: VehicleParams,
                    n_steps=1) -> RigidBodyState:
     """Advance the rigid body by n_steps steps of dt under a held body thrust wrench.
 
@@ -283,8 +271,9 @@ def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehiclePar
     on SO(3) x R^9, in Python floats. omega_b, x and v take classical
     RK4 steps; R becomes R exp(hat(theta)), with theta the RK4
     combination of the dexp^-1 stage increments. R stays in SO(3) through
-    the exp map, with no re-orthonormalization. The wrench argument is
-    thrust only; gravity acts along inertial -z. The state stays in
+    the exp map, with no re-orthonormalization. The wrench argument is the
+    body thrust wrench [F; tau] as a 6-vector (N, N m), thrust only;
+    gravity acts along inertial -z. The state stays in
     floats between steps, so n_steps steps give the same bits as n_steps
     single calls. Raises RuntimeError when a step produces non-finite
     values (checked once, after the last step); the RigidBodyState built
@@ -305,9 +294,8 @@ def integrate_step(state: RigidBodyState, wrench: Wrench, dt, params: VehiclePar
     w0, w1, w2 = state.omega_b.tolist()
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = state.R.tolist()
     m, g_mag = params.m, params.g_mag
-    F0, F1, F2 = wrench.F.tolist()
+    F0, F1, F2, tau0, tau1, tau2 = wrench.tolist()
     f0, f1, f2 = F0 / m, F1 / m, F2 / m
-    tau0, tau1, tau2 = wrench.tau.tolist()
     J0, J1, J2 = params.J_b.diagonal().tolist()
     half = 0.5 * dt
     sixth = dt / 6.0

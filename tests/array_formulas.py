@@ -244,9 +244,9 @@ def integrate_step(state, wrench, dt, params, n_steps=1):
     w0, w1, w2 = state.omega_b.tolist()
     R = state.R.tolist()
     m, g_mag = params.m, params.g_mag
-    F0, F1, F2 = wrench.F.tolist()
+    F0, F1, F2, *tau = wrench.tolist()
     f = (F0 / m, F1 / m, F2 / m)
-    tau, J = wrench.tau.tolist(), params.J_b.diagonal().tolist()
+    J = params.J_b.diagonal().tolist()
     half, sixth = 0.5 * dt, dt / 6.0
     for _ in range(n_steps):
         a1, K1, k1 = _stage(R, f, g_mag, tau, J, (w0, w1, w2), (0.0, 0.0, 0.0))

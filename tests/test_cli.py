@@ -10,7 +10,7 @@ import pytest
 
 from omnidyn import cli, simulation
 from omnidyn.config import MAX_DIRECTIONS, RunConfig
-from omnidyn.simulation import log_column_names
+from omnidyn.simulation import LOG_HEADER
 from omnidyn.vehicle import DIVERGED
 
 CLI = [sys.executable, "-m", "omnidyn.cli"]
@@ -116,10 +116,13 @@ def test_non_finite_or_misshaped_config_is_config_error(tmp_path, capsys, text):
     {"singularity": {"phi_0_deg": False}},
     {"sim": {"dt_physics": None}},
     {"vehicle": {"g": [9.81]}},
+    {"vehicle": {"x_com": [True, False, 0]}},
+    {"vehicle": {"J_diag": ["0.08", "0.08", "0.14"]}},
 ])
 def test_strings_booleans_and_non_numbers_are_config_errors(tmp_path, capsys, block):
-    """A scalar key takes a JSON number: "4.5", true and " 600 " were once
-    read as 4.5, 1.0 and 600.0."""
+    """A scalar key, and each entry of a vector key, takes a JSON number:
+    "4.5", true and " 600 " were once read as 4.5, 1.0 and 600.0, and an
+    x_com of [true, false, 0] as a 1 m offset."""
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps(block))
     out = tmp_path / "out"
@@ -242,7 +245,7 @@ def test_diverged_run_keeps_its_partial_log(tmp_path, capsys, monkeypatch):
     assert "control tick 1 (t = 0.005 s)" in err
     assert [p.name for p in tmp_path.iterdir()] == ["hover_log.csv"]
     header, rows = read_csv(tmp_path / "hover_log.csv")
-    assert header == log_column_names()
+    assert tuple(header) == LOG_HEADER
     assert rows.shape[0] == 2
 
 
@@ -350,7 +353,7 @@ def test_overflowing_wrench_exits_3_with_a_finite_partial_log(tmp_path, capsys):
     assert "control tick 2 (t = 0.01 s)" in err
     assert [p.name for p in out.iterdir()] == ["hover_log.csv"]
     header, rows = read_csv(out / "hover_log.csv")
-    assert header == log_column_names()
+    assert tuple(header) == LOG_HEADER
     assert rows.shape[0] == 2 and np.all(np.isfinite(rows))
 
 

@@ -92,8 +92,8 @@ def test_hover_wrench_compensates_gravity():
     state = make_state()
     sp = TrajectorySetpoint()
     w = control_wrench(compute_errors(state, sp), state, sp, g, p)
-    assert_allclose(w.F, [0.0, 0.0, p.m * p.g_mag], atol=1e-12)
-    assert_allclose(w.tau, 0.0, atol=1e-12)
+    assert_allclose(w[:3], [0.0, 0.0, p.m * p.g_mag], atol=1e-12)
+    assert_allclose(w[3:], 0.0, atol=1e-12)
 
 
 def test_gravity_compensation_follows_attitude():
@@ -104,7 +104,7 @@ def test_gravity_compensation_follows_attitude():
     state = make_state(R=R)
     sp = TrajectorySetpoint(R_sp=R.copy())
     w = control_wrench(compute_errors(state, sp), state, sp, g, p)
-    assert_allclose(w.F, [0.0, 0.0, -p.m * p.g_mag], atol=1e-10)
+    assert_allclose(w[:3], [0.0, 0.0, -p.m * p.g_mag], atol=1e-10)
 
 
 def test_force_feedback_signs():
@@ -114,7 +114,7 @@ def test_force_feedback_signs():
     sp = TrajectorySetpoint()
     w = control_wrench(compute_errors(state, sp), state, sp, g, p)
     # positive x error pulls the force command toward -x
-    assert w.F[0] == pytest.approx(-g.k_p * 0.5 * p.m)
+    assert w[0] == pytest.approx(-g.k_p * 0.5 * p.m)
 
 
 def test_acceleration_feedforward_enters_directly():
@@ -123,7 +123,7 @@ def test_acceleration_feedforward_enters_directly():
     state = make_state()
     sp = TrajectorySetpoint(a_sp=np.array([2.0, 0.0, 0.0]))
     w = control_wrench(compute_errors(state, sp), state, sp, g, p)
-    assert w.F[0] == pytest.approx(2.0 * p.m)
+    assert w[0] == pytest.approx(2.0 * p.m)
 
 
 def test_torque_includes_gyroscopic_term():
@@ -134,7 +134,7 @@ def test_torque_includes_gyroscopic_term():
     sp = TrajectorySetpoint(omega_sp=omega.copy())  # zero rate error
     w = control_wrench(compute_errors(state, sp), state, sp, g, p)
     J = np.diag(p.J_b)
-    assert_allclose(w.tau, np.cross(omega, J * omega), atol=1e-12)
+    assert_allclose(w[3:], np.cross(omega, J * omega), atol=1e-12)
 
 
 def test_com_offset_adds_counter_torque():
@@ -145,8 +145,8 @@ def test_com_offset_adds_counter_torque():
     sp = TrajectorySetpoint()
     w0 = control_wrench(compute_errors(state, sp), state, sp, g, p)
     w1 = control_wrench(compute_errors(state, sp), state, sp, g, p_off)
-    assert_allclose(w1.F, w0.F)
-    assert_allclose(w1.tau - w0.tau, np.cross(p_off.x_com, w0.F), atol=1e-12)
+    assert_allclose(w1[:3], w0[:3])
+    assert_allclose(w1[3:] - w0[3:], np.cross(p_off.x_com, w0[:3]), atol=1e-12)
 
 
 def test_velocity_transport_term():
@@ -159,7 +159,7 @@ def test_velocity_transport_term():
     sp = TrajectorySetpoint(v_sp=v.copy(), omega_sp=omega.copy())
     w = control_wrench(compute_errors(state, sp), state, sp, g, p)
     expected_F = p.m * (np.array([0.0, 0.0, p.g_mag]) + np.cross(omega, v))
-    assert_allclose(w.F, expected_F, atol=1e-12)
+    assert_allclose(w[:3], expected_F, atol=1e-12)
 
 
 def controller_edge_cases():
@@ -198,6 +198,7 @@ def test_controller_matches_the_array_formulas_bit_for_bit(logged_ticks):
         for name, want in zip(("e_p", "e_v", "e_R", "e_omega"), expected):
             got = getattr(e, name)
             assert isinstance(got, np.ndarray) and same_bits(got, want), name
-        assert same_bits(w.F, F)
-        assert same_bits(w.tau, tau)
+        assert isinstance(w, np.ndarray) and w.shape == (6,) and w.dtype == np.float64
+        assert same_bits(w[:3], F)
+        assert same_bits(w[3:], tau)
 

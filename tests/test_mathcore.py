@@ -135,6 +135,19 @@ def test_wrap_angle_scalar_and_array():
     assert wrap_angle(-np.pi) == np.pi
     arr = np.array([0.0, 2.0 * np.pi, -2.0 * np.pi, 3.0 * np.pi])
     assert_allclose(wrap_angle(arr), [0.0, 0.0, 0.0, np.pi], atol=1e-12)
+    # A Python float or numpy scalar gives a Python float with the bits of the
+    # array branch's entry, on random angles and on the edge inputs.
+    edges = [np.pi, -np.pi, 3.0 * np.pi, -3.0 * np.pi, 0.0, -0.0, 1e-300, -1e-300, 1e300,
+             np.nan, np.inf, -np.inf]
+    theta = np.concatenate([np.random.default_rng(12).uniform(-20.0, 20.0, 10_000), edges])
+    with np.errstate(invalid="ignore"):
+        wrapped = wrap_angle(theta)
+        for x, want in zip(theta.tolist(), wrapped.tolist()):
+            for scalar in (x, np.float64(x)):
+                got = wrap_angle(scalar)
+                assert type(got) is float
+                assert same_bits(got, want), (scalar, got, want)
+    assert wrap_angle(-3.0 * np.pi) == np.pi and wrap_angle(-0.0) == 0.0
 
 
 def test_wrap_angle_is_periodic():

@@ -9,13 +9,13 @@ from omnidyn.controller import Gains
 from omnidyn import simulation
 from omnidyn.simulation import (
     LOG_FIELDS,
+    LOG_HEADER,
     MAX_LOG_ROWS,
     MIN_TIME_STEP,
     ConfigError,
     SimConfig,
     SimLog,
     SimulationDiverged,
-    log_column_names,
     simulate,
     tracking_summary,
     write_csv,
@@ -46,7 +46,7 @@ def test_sim_config_validates_rates():
 
 
 def test_log_layout_is_consistent():
-    names = log_column_names()
+    names = LOG_HEADER
     assert len(names) == sum(w for _, w in LOG_FIELDS)
     assert names[0] == "t"
     assert "eta_f" in names
@@ -130,7 +130,7 @@ def test_log_csv_round_trips_floats(tmp_path):
     path = tmp_path / "log.csv"
     log.to_csv(path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0].split(",") == log_column_names()
+    assert tuple(lines[0].split(",")) == LOG_HEADER
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert parsed.shape == log.data.shape
     assert np.array_equal(parsed, log.data)
@@ -156,7 +156,7 @@ def test_tracking_summary_attitude_metric():
     """The quaternion-based attitude error reproduces a known rotation angle."""
     log = run_short_hover(duration=0.2)
     data = log.data.copy()
-    names = log_column_names()
+    names = LOG_HEADER
     theta = 0.2
     # overwrite the attitude columns with a fixed 0.2 rad roll offset
     qi = names.index("q0")
@@ -179,7 +179,7 @@ def test_write_csv_keeps_the_bytes_of_the_row_by_row_writer(tmp_path):
     and an empty table."""
     log = run_short_hover(duration=0.5)
     odd = np.array([[-0.0, 0.0, np.nan, np.inf], [-np.inf, 5e-324, 1e300, 0.1], [3.0, -2.0, 1.0 / 3.0, 1e-7]])
-    tables = [(log_column_names(), log.data), (["a", "b", "c", "d"], odd),
+    tables = [(LOG_HEADER, log.data), (["a", "b", "c", "d"], odd),
               (["i", "j"], np.array([[1, -2], [0, 7]])), (["e"], np.empty((0, 1)))]
     for header, rows in tables:
         write_csv(tmp_path / "new.csv", header, rows)
@@ -188,9 +188,9 @@ def test_write_csv_keeps_the_bytes_of_the_row_by_row_writer(tmp_path):
 
 
 def test_simulate_refuses_a_log_over_the_row_cap_before_any_set_up(monkeypatch):
-    """A run whose log would pass MAX_LOG_ROWS is a ConfigError raised before
-    the allocator, the first sample or the log exist; one row under the cap
-    is accepted."""
+    """A run whose log would pass MAX_LOG_ROWS, a tick count that overflows to
+    inf included, is a ConfigError raised before the allocator, the first
+    sample or the log exist; one row under the cap is accepted."""
     def never(*args, **kwargs):
         raise AssertionError("set-up ran")
 
@@ -198,7 +198,8 @@ def test_simulate_refuses_a_log_over_the_row_cap_before_any_set_up(monkeypatch):
     traj = make_hover(16.0)
     traj.sampler = never
     for cfg in (SimConfig(dt_physics=1e-6, dt_control=1e-6),
-                SimConfig(duration=MAX_LOG_ROWS * 0.005, dt_control=0.005)):
+                SimConfig(duration=MAX_LOG_ROWS * 0.005, dt_control=0.005),
+                SimConfig(duration=1e308, dt_physics=1e-6, dt_control=1e-6)):
         with pytest.raises(ConfigError, match="rows"):
             simulate(traj, VehicleParams(), Gains(), SingularityParams(), cfg)
     with pytest.raises(AssertionError, match="set-up ran"):

@@ -20,7 +20,6 @@ from omnidyn.vehicle import (
     ARM,
     RigidBodyState,
     VehicleParams,
-    Wrench,
     build_A_alpha,
     integrate_step,
     rotor_columns,
@@ -290,11 +289,6 @@ def test_state_rejects_misshaped(bad):
         RigidBodyState(**bad)
 
 
-def test_wrench_vector_round_trip():
-    w = Wrench(F=np.array([1.0, 2.0, 3.0]), tau=np.array([4.0, 5.0, 6.0]))
-    assert_allclose(w.as_vector(), [1, 2, 3, 4, 5, 6])
-
-
 def test_derivative_gravity_and_frame_mapping():
     """One step from rest with the body pitched 90 deg about y.
 
@@ -305,7 +299,7 @@ def test_derivative_gravity_and_frame_mapping():
     """
     p = VehicleParams()
     R = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 2.0)
-    wrench = Wrench(F=np.array([0.0, 0.0, p.m * p.g_mag]), tau=np.zeros(3))
+    wrench = np.array([0.0, 0.0, p.m * p.g_mag, 0.0, 0.0, 0.0])
     dt = 1.0e-3
     state = integrate_step(RigidBodyState(R=R), wrench, dt, p)
     # thrust along body z maps to inertial +x, gravity still pulls -z
@@ -322,7 +316,7 @@ def test_derivative_euler_term():
     omega = np.array([1.0, 2.0, 3.0])
     J = np.diag(p.J_b)
     dt = 1.0e-7
-    state = integrate_step(RigidBodyState(omega_b=omega), Wrench(F=np.zeros(3), tau=np.zeros(3)), dt, p)
+    state = integrate_step(RigidBodyState(omega_b=omega), np.zeros(6), dt, p)
     expected = -np.cross(omega, J * omega) / J
     omega_ddot = -(np.cross(expected, J * omega) + np.cross(omega, J * expected)) / J
     tol = dt * np.abs(omega_ddot).max() + 4.0 * EPS * np.abs(omega).max() / dt
@@ -335,7 +329,7 @@ def test_integrate_step_free_fall_is_exact():
     state = RigidBodyState(x=np.zeros(3), v=np.array([1.0, 0.0, 0.0]),
                            R=np.eye(3), omega_b=np.zeros(3))
     dt = 0.05
-    zero = Wrench(F=np.zeros(3), tau=np.zeros(3))
+    zero = np.zeros(6)
     state = integrate_step(state, zero, dt, p)
     assert_allclose(state.x, [dt, 0.0, -0.5 * p.g_mag * dt**2], atol=1e-15)
     assert_allclose(state.v, [1.0, 0.0, -p.g_mag * dt], atol=1e-15)
@@ -345,7 +339,7 @@ def test_integrate_step_constant_spin_stays_orthonormal():
     p = VehicleParams()
     omega = np.array([0.0, 0.0, 2.0])
     state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), omega_b=omega)
-    hover = Wrench(F=np.array([0.0, 0.0, p.m * p.g_mag]), tau=np.zeros(3))
+    hover = np.array([0.0, 0.0, p.m * p.g_mag, 0.0, 0.0, 0.0])
     dt = 0.001
     n = 500
     for _ in range(n):
@@ -361,7 +355,7 @@ def test_integrate_step_constant_torque_spin_up():
     p = VehicleParams()
     tau_z = 0.07
     state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), omega_b=np.zeros(3))
-    wrench = Wrench(F=np.zeros(3), tau=np.array([0.0, 0.0, tau_z]))
+    wrench = np.array([0.0, 0.0, 0.0, 0.0, 0.0, tau_z])
     dt = 0.001
     n = 1000
     for _ in range(n):
@@ -378,7 +372,7 @@ def test_integrate_step_convergence_order():
     def final_R(dt, n):
         state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3),
                                omega_b=omega0.copy())
-        zero = Wrench(F=np.zeros(3), tau=np.zeros(3))
+        zero = np.zeros(6)
         for _ in range(n):
             state = integrate_step(state, zero, dt, p)
         return state
@@ -396,7 +390,7 @@ def tumbling():
     R0 = rotation_from_axis_angle(np.array([0.6, 0.0, 0.8]), 0.7)
     state = RigidBodyState(x=np.array([0.1, -0.2, 0.3]), v=np.array([1.0, 0.5, -0.3]),
                            R=R0, omega_b=np.array([3.0, -2.0, 5.0]))
-    wrench = Wrench(F=np.array([1.0, -2.0, 45.0]), tau=np.array([0.03, -0.01, 0.02]))
+    wrench = np.array([1.0, -2.0, 45.0, 0.03, -0.01, 0.02])
     return state, wrench, VehicleParams(J_b=np.diag([0.08, 0.11, 0.14]))
 
 
@@ -457,7 +451,7 @@ def test_integrate_step_symmetric_top_matches_closed_form():
         state = RigidBodyState(x=x0, v=v0, R=R0, omega_b=omega0)
         n = int(round(T / dt))
         for _ in range(n):
-            state = integrate_step(state, Wrench(), dt, p)
+            state = integrate_step(state, np.zeros(6), dt, p)
         R, omega = closed_form(T)
         # gravity alone acts on the translation, which RK4 integrates exactly
         assert_allclose(state.x, x0 + v0 * T - 0.5 * p.g_mag * T**2 * ez, rtol=0.0, atol=1e-12)
@@ -486,13 +480,13 @@ def test_integrate_step_overflow_is_runtime_error(state, F, params):
     """Overflow must surface as the RuntimeError that simulate turns into
     SimulationDiverged, never as math's ValueError or OverflowError."""
     with pytest.raises(RuntimeError, match="non-finite"):
-        integrate_step(RigidBodyState(**state), Wrench(F=F, tau=np.zeros(3)), 1.0e-3, VehicleParams(**params))
+        integrate_step(RigidBodyState(**state), np.concatenate([F, np.zeros(3)]), 1.0e-3, VehicleParams(**params))
 
 
 def test_integrate_step_raises_on_non_finite():
     p = VehicleParams()
     state = RigidBodyState(x=np.zeros(3), v=np.zeros(3), R=np.eye(3), omega_b=np.zeros(3))
-    bad = Wrench(F=np.array([np.inf, 0.0, 0.0]), tau=np.zeros(3))
+    bad = np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0])
     with np.errstate(all="ignore"), pytest.raises(RuntimeError):
         integrate_step(state, bad, 0.001, p)
 
@@ -510,7 +504,7 @@ def test_integrate_step_n_steps_equals_n_single_calls_bit_for_bit():
     start = RigidBodyState(x=rng.normal(size=3), v=rng.normal(size=3),
                            R=rotation_from_axis_angle(axis / np.linalg.norm(axis), 2.0),
                            omega_b=3.0 * rng.normal(size=3))
-    wrench = Wrench(F=np.array([3.0, -2.0, 40.0]), tau=np.array([0.3, -0.1, 0.05]))
+    wrench = np.array([3.0, -2.0, 40.0, 0.3, -0.1, 0.05])
     for n in (1, 2, 5, 7):
         single = start
         for _ in range(n):
@@ -524,7 +518,7 @@ def test_integrate_step_n_steps_raises_when_a_later_step_diverges():
     raises the same RuntimeError from a multi-step call."""
     p = VehicleParams()
     start = RigidBodyState(v=np.array([2.95e307, 0.0, 0.0]))
-    wrench = Wrench(F=np.array([1e308, 0.0, 0.0]), tau=np.zeros(3))
+    wrench = np.array([1e308, 0.0, 0.0, 0.0, 0.0, 0.0])
     dt = 0.01
     state, finite = start, 0
     with pytest.raises(RuntimeError, match="non-finite"):
@@ -547,11 +541,11 @@ def test_integrate_step_matches_the_per_stage_formula_bit_for_bit(logged_ticks):
     p = VehicleParams()
     neg = np.full(3, -0.0)
     tilted = rotation_from_axis_angle(np.array([0.0, 1.0, 0.0]), np.pi / 2.0)
-    edges = [(RigidBodyState(x=neg, v=neg, omega_b=neg), Wrench(F=neg, tau=neg), 1e-3, p, 3),
-             (RigidBodyState(v=neg, R=tilted), Wrench(F=np.array([-0.0, 0.0, -0.0]), tau=neg), 1e-3, p, 2),
+    edges = [(RigidBodyState(x=neg, v=neg, omega_b=neg), np.full(6, -0.0), 1e-3, p, 3),
+             (RigidBodyState(v=neg, R=tilted), np.array([-0.0, 0.0, -0.0, -0.0, -0.0, -0.0]), 1e-3, p, 2),
              (RigidBodyState(omega_b=np.array([0.0, -0.0, 1.0])),
-              Wrench(F=np.array([0.0, -0.0, 39.24]), tau=np.array([-0.0, 0.0, 0.0])), 1e-3, p, 5),
-             (RigidBodyState(), Wrench(), 1e-3, p, 0)]
+              np.array([0.0, -0.0, 39.24, -0.0, 0.0, 0.0]), 1e-3, p, 5),
+             (RigidBodyState(), np.zeros(6), 1e-3, p, 0)]
     for state, wrench, dt, params, n in logged_ticks["plant"] + edges:
         out = integrate_step(state, wrench, dt, params, n)
         got = np.concatenate([out.x, out.v, out.R.ravel(), out.omega_b])
